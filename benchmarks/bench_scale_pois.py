@@ -22,10 +22,11 @@ under a grid-backed candidate retriever equal the KD-tree path's
 exactly (same slates, same scores, same HR/NDCG bitwise).
 
 Ceilings are fixed constants, not relative to hardware: streaming
-sampler setup must be near-instant and the scale profile's RSS delta
+sampler setup must be near-instant, the scale profile's RSS delta
 must stay both under an absolute cap and under a fraction of the dense
-table it replaced.  ``REPRO_BENCH_QUICK=1`` drops the catalogue to 50k
-POIs for the CI ``scale-smoke`` job; the gates stay on.
+table it replaced, and the model build must stay under a per-POI time.
+``REPRO_BENCH_QUICK=1`` drops the catalogue to 50k POIs for the CI
+``scale-smoke`` job; the gates stay on.
 
 Results are persisted to ``benchmarks/results/BENCH_scale.json``.
 """
@@ -72,6 +73,11 @@ INDEX_BUILD_CEILING_S = 30.0
 #: 500k POIs (801 MB even at the 50k smoke scale).
 SCALE_RSS_CEILING_MB = 1024.0
 DENSE_FRACTION_CEILING = 0.35
+#: Per-POI ceiling on the STiSAN build.  With the geography encoder's
+#: n-gram ids built from integer tile bits the build costs ~2 us per
+#: POI; the per-POI quadkey-string path cost 24-33 us, so the ceiling
+#: catches a return to it even at the 50k smoke scale.
+MODEL_BUILD_CEILING_S_PER_POI = 10e-6
 
 #: Sampling-throughput probe: one cold batch (every pool built via a
 #: grid query) then the same batch warm (every pool from the LRU).
@@ -206,7 +212,6 @@ def run_scale_profile() -> dict:
     }
 
     # Train: real optimizer steps at catalogue scale, sharded loss head.
-    t0 = time.perf_counter()
     examples, _ = partition(ds, n=TRAIN_N)
     cfg = STiSANConfig(
         max_len=TRAIN_N,
@@ -219,6 +224,7 @@ def run_scale_profile() -> dict:
         quadkey_ngram=4,
         fused=True,
     )
+    t0 = time.perf_counter()
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
     model_build_s = time.perf_counter() - t0
     optimizer = FlatAdam(model.parameters(), lr=3e-3)
@@ -301,7 +307,9 @@ def test_scale_profile(benchmark):
     )
     print(
         f"train        {train['steps_per_sec']:6.3f} steps/s at shard {LOSS_SHARD}, "
-        f"model built in {train['model_build_s']:.1f} s"
+        f"model built in {train['model_build_s']:.2f} s "
+        f"({train['model_build_s'] / SCALE_POIS * 1e6:.1f} us/POI, "
+        f"ceiling {MODEL_BUILD_CEILING_S_PER_POI * 1e6:.0f} us)"
     )
     print(
         f"serve        {serve['slates_per_sec']:6.1f} slates/s, "
@@ -312,6 +320,7 @@ def test_scale_profile(benchmark):
         report,
         num_pois=SCALE_POIS, pool_size=POOL_SIZE,
         rss_ceiling_mb=rss_ceiling, setup_ceiling_s=SAMPLER_SETUP_CEILING_S,
+        model_build_ceiling_s_per_poi=MODEL_BUILD_CEILING_S_PER_POI,
     )
     assert grid["is_grid"], "auto backend did not resolve to grid at scale"
     assert grid["build_s"] <= INDEX_BUILD_CEILING_S, (
@@ -334,6 +343,11 @@ def test_scale_profile(benchmark):
         "warm sampling no faster than cold: pools are being rebuilt"
     )
     assert train["steps"] == TRAIN_STEPS and np.isfinite(train["first_step_loss"])
+    assert train["model_build_s"] <= MODEL_BUILD_CEILING_S_PER_POI * SCALE_POIS, (
+        f"model build {train['model_build_s']:.2f}s over the "
+        f"{MODEL_BUILD_CEILING_S_PER_POI * 1e6:.0f} us/POI ceiling — are the "
+        "geography n-gram ids being built per POI?"
+    )
     assert serve["slate_width_min"] == serve["slate_width_max"] == 101, (
         "slates must be 1 target + 100 candidates, got widths "
         f"[{serve['slate_width_min']}, {serve['slate_width_max']}]"
@@ -535,6 +549,7 @@ def run_metric_parity() -> dict:
         quadkey_ngram=4,
         fused=True,
     )
+    t0 = time.perf_counter()
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(3))
     model.eval()
     reports = {}

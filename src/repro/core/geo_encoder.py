@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..geo.quadkey import QuadkeyVocab, latlon_to_quadkey
+from ..geo.quadkey import QuadkeyVocab, quadkey_ngram_ids
 from ..nn.attention import SelfAttention
 from ..nn.layers import Embedding, Linear
 from ..nn.module import Module
@@ -59,21 +59,11 @@ class GeographyEncoder(Module):
         self.dim = dim
         self.pooling = pooling
 
-        poi_coords = np.asarray(poi_coords, dtype=np.float64)
-        vocab = QuadkeyVocab(n=ngram)
-        quadkeys = [
-            latlon_to_quadkey(lat, lon, level=level) for lat, lon in poi_coords[1:]
-        ]
-        grams = vocab.encode_batch(quadkeys) if quadkeys else np.zeros((0, 1), dtype=np.int64)
-        vocab.freeze()
-        self.vocab = vocab
         # (P + 1, G): row 0 (padding POI) is all PAD n-grams.
-        self.gram_ids = np.zeros((len(poi_coords), grams.shape[1] if len(quadkeys) else 1), dtype=np.int64)
-        if len(quadkeys):
-            self.gram_ids[1:] = grams
+        self.gram_ids, vocab_size = quadkey_ngram_ids(poi_coords, level=level, n=ngram)
 
         self.gram_embedding = Embedding(
-            len(vocab), dim, padding_idx=QuadkeyVocab.PAD, rng=rng
+            vocab_size, dim, padding_idx=QuadkeyVocab.PAD, rng=rng
         )
         self.project = Linear(dim, dim, rng=rng)
         if pooling == "attn":

@@ -19,7 +19,13 @@ from .neighbors import (
     pad_pool,
     xyz_distance_km,
 )
-from .quadkey import QuadkeyVocab, latlon_to_quadkey, latlon_to_tile_xy, quadkey_to_ngrams
+from .quadkey import (
+    QuadkeyVocab,
+    latlon_to_quadkey,
+    latlon_to_tile_xy,
+    quadkey_ngram_ids,
+    quadkey_to_ngrams,
+)
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -39,6 +45,7 @@ __all__ = [
     "GridSpec",
     "latlon_to_quadkey",
     "latlon_to_tile_xy",
+    "quadkey_ngram_ids",
     "quadkey_to_ngrams",
     "QuadkeyVocab",
 ]

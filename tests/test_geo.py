@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.geo_encoder as geo_encoder_module
+from repro.core.geo_encoder import GeographyEncoder
 from repro.geo import (
     EARTH_RADIUS_KM,
+    GridIndex,
     GridSpec,
     PoiIndex,
     QuadkeyVocab,
     haversine,
     latlon_to_quadkey,
+    latlon_to_tile_xy,
     latlon_to_unit_xyz,
     pairwise_haversine,
+    quadkey_ngram_ids,
     quadkey_to_ngrams,
 )
 
@@ -119,6 +126,113 @@ class TestQuadkey:
         out = vocab.encode_batch(["0123", "01"])
         assert out.shape == (2, 3)
         assert out[1, 1] == QuadkeyVocab.PAD
+
+
+def string_ngram_ids(poi_coords, level, n):
+    """Reference for :func:`quadkey_ngram_ids`: per-POI quadkey strings
+    through :class:`QuadkeyVocab`, laid out with a padding row 0."""
+    poi_coords = np.asarray(poi_coords, dtype=np.float64)
+    vocab = QuadkeyVocab(n=n)
+    quadkeys = [latlon_to_quadkey(lat, lon, level=level) for lat, lon in poi_coords[1:]]
+    if not quadkeys:
+        return np.zeros((len(poi_coords), 1), dtype=np.int64), len(vocab)
+    grams = vocab.encode_batch(quadkeys)
+    ids = np.zeros((len(poi_coords), grams.shape[1]), dtype=np.int64)
+    ids[1:] = grams
+    return ids, len(vocab)
+
+
+#: Poles, the Mercator clamp, the antimeridian and out-of-range longitudes.
+EDGE_POINTS = [
+    (90.0, 0.0), (-90.0, 0.0), (85.05112878, 180.0), (-85.05112878, -180.0),
+    (0.0, 180.0), (0.0, -180.0), (12.5, 179.9999999), (12.5, -179.9999999),
+    (33.0, 200.0), (-33.0, -200.0), (95.0, 0.0), (0.0, 0.0),
+]
+
+
+@st.composite
+def catalogues(draw):
+    point = st.one_of(
+        st.sampled_from(EDGE_POINTS),
+        st.tuples(st.floats(-95.0, 95.0), st.floats(-200.0, 200.0)),
+        # A tight city-scale cluster, so many POIs share long prefixes.
+        st.tuples(st.floats(43.87, 43.89), st.floats(125.34, 125.36)),
+    )
+    points = draw(st.lists(point, max_size=40))
+    if points:
+        picks = draw(st.lists(st.integers(0, len(points) - 1), max_size=10))
+        points += [points[i] for i in picks]
+    return np.array([(0.0, 0.0)] + points, dtype=np.float64)
+
+
+class TestQuadkeyNgramIds:
+    @given(catalogues(), st.integers(1, 23), st.integers(1, 25))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_string_vocab(self, coords, level, n):
+        ids, vocab_size = quadkey_ngram_ids(coords, level=level, n=n)
+        expected, expected_size = string_ngram_ids(coords, level, n)
+        assert ids.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(ids, expected)
+        assert vocab_size == expected_size
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_catalogue(self, rows):
+        ids, vocab_size = quadkey_ngram_ids(np.zeros((rows, 2)), level=17, n=6)
+        assert ids.shape == (rows, 1) and not ids.any()
+        assert vocab_size == 2
+
+    def test_rejects_bad_n(self):
+        with pytest.raises(ValueError):
+            quadkey_ngram_ids(np.zeros((2, 2)), level=17, n=0)
+
+    @pytest.mark.parametrize("pooling", ["mean", "attn"])
+    def test_encoder_forward_matches_string_ids(self, monkeypatch, pooling):
+        rng = np.random.default_rng(5)
+        coords = np.vstack([
+            [0.0, 0.0],
+            np.column_stack([rng.uniform(43.8, 44.0, 59), rng.uniform(125.2, 125.5, 59)]),
+            EDGE_POINTS,
+        ])
+        poi_ids = np.arange(len(coords)).reshape(2, -1)
+        fast = GeographyEncoder(coords, 8, level=14, ngram=4, pooling=pooling,
+                                rng=np.random.default_rng(0))
+        monkeypatch.setattr(geo_encoder_module, "quadkey_ngram_ids", string_ngram_ids)
+        oracle = GeographyEncoder(coords, 8, level=14, ngram=4, pooling=pooling,
+                                  rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(fast.gram_ids, oracle.gram_ids)
+        for (name, a), (_, b) in zip(fast.named_parameters(), oracle.named_parameters()):
+            assert a.data.shape == b.data.shape, name
+            np.testing.assert_array_equal(a.data, b.data)
+        out_fast = fast(poi_ids).data
+        out_oracle = oracle(poi_ids).data
+        assert out_fast.tobytes() == out_oracle.tobytes()
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize("lat,lon", [
+        (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf),
+    ])
+    def test_tile_xy_rejects(self, lat, lon):
+        with pytest.raises(ValueError, match="finite"):
+            latlon_to_tile_xy(lat, lon, 17)
+        with pytest.raises(ValueError, match="finite"):
+            latlon_to_tile_xy(np.array([10.0, lat]), np.array([20.0, lon]), 17)
+
+    def test_consumers_reject(self):
+        coords = np.array([[0.0, 0.0], [43.88, 125.35], [np.nan, 125.0]])
+        with pytest.raises(ValueError, match="finite"):
+            quadkey_ngram_ids(coords)
+        with pytest.raises(ValueError, match="finite"):
+            GeographyEncoder(coords, 8, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            GridIndex(coords[1:])
+        with pytest.raises(ValueError, match="finite"):
+            latlon_to_quadkey(np.nan, 0.0)
+
+    def test_padding_row_is_not_tiled(self):
+        coords = np.array([[np.nan, np.nan], [43.88, 125.35]])
+        ids, _ = quadkey_ngram_ids(coords)
+        assert (ids[0] == QuadkeyVocab.PAD).all()
 
 
 class TestPoiIndex:

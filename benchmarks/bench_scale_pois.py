@@ -222,7 +222,6 @@ def run_scale_profile() -> dict:
         dropout=0.0,
         quadkey_level=12,
         quadkey_ngram=4,
-        fused=True,
     )
     t0 = time.perf_counter()
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
@@ -547,7 +546,6 @@ def run_metric_parity() -> dict:
         dropout=0.0,
         quadkey_level=14,
         quadkey_ngram=4,
-        fused=True,
     )
     t0 = time.perf_counter()
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(3))

@@ -1,13 +1,16 @@
-"""Training throughput: the fused execution layer vs the reference chain.
+"""Training throughput: the fused kernels vs their primitive-op oracles.
 
-The PR claim under test: routing attention/LayerNorm through
-``repro.nn.fused``, stepping with the flat-buffer ``FlatAdam`` and
-recycling backward scratch through the gradient arena buys at least
-1.8x training steps/sec at the paper's sequence shape (n = 100,
-d = 64, N = 4 IAABs) over the unfused op-chain + per-parameter Adam.
+The claim under test: running attention/LayerNorm as the one-op
+kernels of ``repro.nn.fused``, stepping with the flat-buffer
+``FlatAdam`` and recycling backward scratch through the gradient arena
+buys at least 1.8x training steps/sec at the paper's sequence shape
+(n = 100, d = 64, N = 4 IAABs) over the primitive op chains +
+per-parameter Adam.  The reference leg patches the test oracles
+(``fused.reference_causal_attention``, ``functional.layer_norm``) over
+the kernels, the same seam ``tests/test_fused.py`` uses.
 
-Both legs run the *same* numbers: the fused forward is bitwise
-identical to the reference chain and FlatAdam is bitwise identical to
+Both legs run the *same* numbers: the kernel forward is bitwise
+identical to the oracle chain and FlatAdam is bitwise identical to
 Adam, so the first step's loss must match exactly between legs — the
 benchmark asserts that too, making it a cheap end-to-end equivalence
 canary at a shape the unit suites don't cover.
@@ -33,6 +36,7 @@ import math
 import os
 import resource
 import time
+from unittest import mock
 
 from common import QUICK, banner, dataset, persist, results_store, train_config
 
@@ -43,6 +47,8 @@ from repro.core.loss import weighted_bce_loss
 from repro.data import partition
 from repro.data.batching import BatchIterator
 from repro.data.negatives import NearestNegativeSampler
+from repro.nn import functional as F
+from repro.nn import fused
 from repro.nn.functional import segment_sum_rows
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.tensor import grad_arena
@@ -72,8 +78,21 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_leg(fused: bool, backend: str = None) -> dict:
-    """Train for a fixed number of steps; return timing + first-step loss."""
+@contextlib.contextmanager
+def _oracle_kernels():
+    with mock.patch.object(
+        fused, "fused_causal_attention", fused.reference_causal_attention
+    ), mock.patch.object(fused, "layer_norm", F.layer_norm):
+        yield
+
+
+def run_leg(reference: bool = False) -> dict:
+    """Train for a fixed number of steps; return timing + first-step loss.
+
+    ``reference=True`` runs the oracle op chains with per-parameter
+    ``Adam`` and no gradient arena; otherwise the kernels, ``FlatAdam``
+    and the arena.
+    """
     ds = dataset("gowalla")
     examples, _ = partition(ds, n=MAX_LEN)
     cfg = STiSANConfig(
@@ -85,8 +104,6 @@ def run_leg(fused: bool, backend: str = None) -> dict:
         dropout=0.2,
         quadkey_level=14,
         quadkey_ngram=4,
-        fused=fused,
-        backend=backend,
     )
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
     tc = train_config(epochs=1)
@@ -94,7 +111,7 @@ def run_leg(fused: bool, backend: str = None) -> dict:
     sampler = NearestNegativeSampler(
         ds, num_negatives=tc.num_negatives, pool_size=tc.negative_pool, rng=rng
     )
-    optimizer_cls = FlatAdam if fused else Adam
+    optimizer_cls = Adam if reference else FlatAdam
     optimizer = optimizer_cls(model.parameters(), lr=tc.learning_rate)
     model.train()
 
@@ -108,8 +125,9 @@ def run_leg(fused: bool, backend: str = None) -> dict:
     step_times = []
     first_loss = None
     # Reference leg runs unpooled, exactly like the pre-fusion trainer.
-    ctx = grad_arena() if fused else contextlib.nullcontext(None)
-    with ctx as arena:
+    kernels = _oracle_kernels() if reference else contextlib.nullcontext()
+    arena_ctx = contextlib.nullcontext(None) if reference else grad_arena()
+    with kernels, arena_ctx as arena:
         stream = batches()
         for step in range(WARMUP_STEPS + TIMED_STEPS):
             batch = next(stream)
@@ -145,7 +163,7 @@ def run_leg(fused: bool, backend: str = None) -> dict:
 def run_throughput():
     # Reference first: peak RSS is monotonic, so the unfused leg's
     # reading is not inflated by the fused leg's allocations.
-    return {"reference": run_leg(fused=False), "fused": run_leg(fused=True)}
+    return {"reference": run_leg(reference=True), "fused": run_leg()}
 
 
 def test_train_throughput(benchmark):
@@ -173,63 +191,6 @@ def test_train_throughput(benchmark):
     )
     assert speedup >= MIN_SPEEDUP, (
         f"fused training speedup {speedup:.2f}x below the {MIN_SPEEDUP}x gate"
-    )
-
-
-#: Blocked-backend tolerance: batch-row tiling trades a little loop
-#: overhead for cache locality; at bench shape it must stay within
-#: noise of the unblocked numpy kernels.  One timed leg per backend on
-#: a shared CI box is noisy, so "no regression" is enforced with slack.
-BLOCKED_MIN_RATIO = 0.75
-
-
-def run_backend_legs():
-    # numpy first so its peak-RSS reading is not inflated by the
-    # blocked leg (ru_maxrss is monotonic).
-    return {
-        "numpy": run_leg(fused=True, backend="numpy"),
-        "blocked": run_leg(fused=True, backend="blocked"),
-    }
-
-
-def test_blocked_backend_throughput(benchmark):
-    legs = benchmark.pedantic(run_backend_legs, rounds=1, iterations=1)
-    ref, blk = legs["numpy"], legs["blocked"]
-    ratio = blk["steps_per_sec"] / ref["steps_per_sec"]
-    banner(
-        f"Blocked backend — batch-row tiling vs unblocked fused numpy "
-        f"(n={MAX_LEN}, d={2 * DIM_HALF}, N={NUM_BLOCKS})"
-    )
-    for name, leg in legs.items():
-        print(
-            f"{name:10s} {leg['steps_per_sec']:6.3f} steps/s "
-            f"({leg['mean_step_s'] * 1e3:7.1f} ms/step, "
-            f"peak RSS {leg['peak_rss_mb']:7.1f} MB)"
-        )
-    print(f"{'ratio':10s} {ratio:6.2f}x (gate: >= {BLOCKED_MIN_RATIO}x)")
-    try:
-        prior = results_store().load("BENCH_train").rows
-    except FileNotFoundError:
-        prior = {}
-    persist(
-        "BENCH_train",
-        {
-            **prior,
-            "backend_numpy": ref,
-            "backend_blocked": blk,
-            "backend_ratio": {"steps_per_sec_ratio": ratio},
-        },
-        max_len=MAX_LEN, dim=2 * DIM_HALF, num_blocks=NUM_BLOCKS,
-    )
-    # The registry contract end to end: identical RNG streams + bitwise
-    # forward means the first step's loss must match exactly.
-    assert blk["first_step_loss"] == ref["first_step_loss"], (
-        f"blocked first-step loss {blk['first_step_loss']!r} != "
-        f"numpy {ref['first_step_loss']!r}"
-    )
-    assert ratio >= BLOCKED_MIN_RATIO, (
-        f"blocked backend at {ratio:.2f}x of fused numpy throughput, "
-        f"below the {BLOCKED_MIN_RATIO}x no-regression gate"
     )
 
 
@@ -302,7 +263,6 @@ def run_worker_leg(workers: int) -> dict:
         dropout=0.2,
         quadkey_level=14,
         quadkey_ngram=4,
-        fused=True,
     )
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
     steps = math.ceil(len(subset) / tc.batch_size)

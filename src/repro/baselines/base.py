@@ -26,7 +26,7 @@ from ..data.negatives import NearestNegativeSampler, UniformNegativeSampler
 from ..data.sequences import SequenceExample
 from ..data.types import PAD_POI, CheckInDataset
 from ..nn.module import Module
-from ..nn.optim import Adam
+from ..nn.optim import FlatAdam
 
 
 class SequentialRecommender(abc.ABC):
@@ -108,7 +108,7 @@ class NeuralRecommender(SequentialRecommender, Module):
             sampler = UniformNegativeSampler(
                 dataset, num_negatives=config.num_negatives, rng=rng
             )
-        optimizer = Adam(self.parameters(), lr=config.learning_rate)
+        optimizer = FlatAdam(self.parameters(), lr=config.learning_rate)
         self.train()
         for epoch in range(config.epochs):
             iterator = BatchIterator(

@@ -24,7 +24,7 @@ from ..nn import functional as F
 from ..nn.attention import MultiHeadAttention
 from ..nn.layers import Dropout, Embedding, LayerNorm, PositionwiseFeedForward
 from ..nn.module import Module, ModuleList
-from ..nn.optim import Adam
+from ..nn.optim import FlatAdam
 from ..nn.tensor import Tensor, no_grad
 from .base import SequentialRecommender, register
 
@@ -112,7 +112,7 @@ class Bert4Rec(SequentialRecommender, Module):
     ) -> None:
         config = config or TrainConfig()
         rng = np.random.default_rng(config.seed)
-        optimizer = Adam(self.parameters(), lr=config.learning_rate)
+        optimizer = FlatAdam(self.parameters(), lr=config.learning_rate)
         # Full sequences (source + final target) for the Cloze task.
         sequences = []
         for e in examples:

@@ -190,17 +190,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_serve_bench(args) -> int:
-    from .nn.backend import set_backend_default
-
     ds = _load_any(args.data)
-    if args.backend:
-        set_backend_default(args.backend)
     train_examples, _ = partition(ds, n=args.max_len)
     model = make_recommender(
         args.model, ds, max_len=args.max_len, dim=args.dim, seed=args.seed,
         stisan_config=STiSANConfig.small(
-            max_len=args.max_len, quadkey_level=17, quadkey_ngram=6,
-            backend=args.backend or None,
+            max_len=args.max_len, quadkey_level=17, quadkey_ngram=6
         ),
     )
     if args.epochs > 0:
@@ -219,7 +214,6 @@ def cmd_serve_bench(args) -> int:
     print(f"serving benchmark: {args.model} on {ds.name} "
           f"({len(users)} users, k={args.k}, "
           f"caches {'off' if args.no_cache else 'on'}, "
-          f"backend {args.backend or 'default'}, "
           f"weights {'int8/fp16' if args.quantized else 'fp32'})")
     if args.quantized:
         from .nn.quantize import quantization_report
@@ -506,10 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--no-cache", action="store_true",
                    help="disable the slate/geo/relation serving caches")
-    p.add_argument("--backend", default=None,
-                   help="execution backend for the fused kernels "
-                        "(numpy, blocked, numexpr when installed); "
-                        "default: env REPRO_BACKEND or numpy")
     p.add_argument("--quantized", action="store_true",
                    help="serve from an int8/float16 quantized copy of "
                         "the model (inference-only)")

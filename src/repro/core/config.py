@@ -9,10 +9,7 @@ configuration used by the tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from ..nn.backend import available_backends
-from ..nn.fused import fused_default
 from .relation import RelationConfig
 
 
@@ -37,25 +34,10 @@ class STiSANConfig:
     use_relation: bool = True          # III. Remove IAAB -> False (Eq. 15)
     use_attention: bool = True         # IV.  Remove SA  -> False (Eq. 16)
     use_taad: bool = True              # V.   Remove TAAD -> False (Eq. 17)
-    # Fused execution: route attention / LayerNorm through the one-op
-    # kernels (bitwise-identical forward).  Defaults to the
-    # process-wide switch (env REPRO_FUSED, on unless "0").
-    fused: bool = field(default_factory=fused_default)
-    # Which kernel implementation serves the fused ops — a name from
-    # repro.nn.backend's registry ("numpy", "blocked", optionally
-    # "numexpr").  None resolves the process default (env
-    # REPRO_BACKEND / set_backend_default) at every forward, so
-    # flipping the default retargets already-built models too.
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2")
-        if self.backend is not None and self.backend not in available_backends():
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {available_backends()}"
-            )
         if self.num_blocks < 1:
             raise ValueError("need at least one IAAB")
         if self.num_heads < 1 or self.dim % self.num_heads != 0:

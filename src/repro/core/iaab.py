@@ -23,9 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn import functional as F
+from ..nn import fused
 from ..nn.attention import NEG_INF
-from ..nn.backend import get_backend
-from ..nn.fused import fused_default
 from ..nn.layers import Dropout, LayerNorm, Linear, PositionwiseFeedForward
 from ..nn.module import Module
 from ..nn.tensor import Tensor
@@ -47,8 +46,6 @@ class IntervalAwareAttentionLayer(Module):
         use_attention: bool = True,
         num_heads: int = 1,
         rng: Optional[np.random.Generator] = None,
-        fused: Optional[bool] = None,
-        backend: Optional[str] = None,
     ):
         super().__init__()
         if not use_relation and not use_attention:
@@ -61,8 +58,6 @@ class IntervalAwareAttentionLayer(Module):
         self.head_dim = dim // num_heads
         self.use_relation = use_relation
         self.use_attention = use_attention
-        self.fused = fused_default() if fused is None else fused
-        self.backend = backend
         self.w_q = Linear(dim, dim, bias=False, rng=rng)
         self.w_k = Linear(dim, dim, bias=False, rng=rng)
         self.w_v = Linear(dim, dim, bias=False, rng=rng)
@@ -91,23 +86,18 @@ class IntervalAwareAttentionLayer(Module):
         if self.use_attention:
             q, k = self.w_q(x), self.w_k(x)
             bias = relation_bias if self.use_relation else None
-            if self.fused:
-                result = get_backend(self.backend).causal_attention(
-                    q, k, v, relation_bias=bias, mask=attend_mask,
-                    return_weights=return_weights,
-                )
-                if return_weights:
-                    fused_out, weights_arr = result
-                    return self.drop(fused_out), weights_arr
-                return self.drop(result)
-            scores = (q @ k.transpose()) * (1.0 / np.sqrt(self.dim))  # repro-lint: disable=REPRO-FUSED -- reference leg of the fused equivalence contract
-            if bias is not None:
-                scores = scores + Tensor(bias)
-        else:
-            # Ablation "Remove SA": A = Softmax(R) V — Eq. (16).
-            if relation_bias is None:
-                raise ValueError("relation_bias required when attention is disabled")
-            scores = Tensor(np.broadcast_to(relation_bias, relation_bias.shape).copy())
+            result = fused.fused_causal_attention(
+                q, k, v, relation_bias=bias, mask=attend_mask,
+                return_weights=return_weights,
+            )
+            if return_weights:
+                out, weights_arr = result
+                return self.drop(out), weights_arr
+            return self.drop(result)
+        # Ablation "Remove SA": A = Softmax(R) V — Eq. (16).
+        if relation_bias is None:
+            raise ValueError("relation_bias required when attention is disabled")
+        scores = Tensor(np.broadcast_to(relation_bias, relation_bias.shape).copy())
         scores = scores.masked_fill(attend_mask, NEG_INF)
         weights = F.softmax(scores, axis=-1)
         out = self.drop(weights @ v)
@@ -139,27 +129,14 @@ class IntervalAwareAttentionLayer(Module):
         bias = None
         if self.use_relation and relation_bias is not None:
             bias = np.broadcast_to(relation_bias[..., None, :, :], (b, h, n, n))
-        if self.fused:
-            attend = get_backend(self.backend).causal_attention
-            head_mean = None
-            if return_weights:
-                attn, weights_arr = attend(
-                    q, k, v, relation_bias=bias, mask=mask, return_weights=True
-                )
-                head_mean = weights_arr.mean(axis=1)
-            else:
-                attn = attend(q, k, v, relation_bias=bias, mask=mask)
-            out = attn.transpose(0, 2, 1, 3).reshape(b, n, self.dim)
-            out = self.drop(out)
-        else:
-            scores = (q @ k.transpose()) * (1.0 / np.sqrt(hd))  # repro-lint: disable=REPRO-FUSED -- reference leg of the fused equivalence contract
-            if bias is not None:
-                scores = scores + Tensor(np.ascontiguousarray(bias))
-            scores = scores.masked_fill(mask, NEG_INF)
-            weights = F.softmax(scores, axis=-1)
-            out = (weights @ v).transpose(0, 2, 1, 3).reshape(b, n, self.dim)
-            out = self.drop(out)
-            head_mean = weights.data.mean(axis=1)
+        result = fused.fused_causal_attention(
+            q, k, v, relation_bias=bias, mask=mask, return_weights=return_weights
+        )
+        head_mean = None
+        if return_weights:
+            result, weights_arr = result
+            head_mean = weights_arr.mean(axis=1)
+        out = self.drop(result.transpose(0, 2, 1, 3).reshape(b, n, self.dim))
         if single:
             out = out.reshape(n, self.dim)
             if head_mean is not None:
@@ -181,14 +158,10 @@ class IntervalAwareAttentionBlock(Module):
         use_attention: bool = True,
         num_heads: int = 1,
         rng: Optional[np.random.Generator] = None,
-        fused: Optional[bool] = None,
-        backend: Optional[str] = None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng()
-        self.fused = fused_default() if fused is None else fused
-        self.backend = backend
-        self.attn_norm = LayerNorm(dim, fused=self.fused, backend=backend)
+        self.attn_norm = LayerNorm(dim)
         self.attn = IntervalAwareAttentionLayer(
             dim,
             dropout=dropout,
@@ -196,10 +169,8 @@ class IntervalAwareAttentionBlock(Module):
             use_attention=use_attention,
             num_heads=num_heads,
             rng=rng,
-            fused=self.fused,
-            backend=backend,
         )
-        self.ffn_norm = LayerNorm(dim, fused=self.fused, backend=backend)
+        self.ffn_norm = LayerNorm(dim)
         self.ffn = PositionwiseFeedForward(dim, hidden_dim, dropout=dropout, rng=rng)
 
     def forward(
@@ -215,16 +186,8 @@ class IntervalAwareAttentionBlock(Module):
             )
         else:
             attn_out = self.attn(self.attn_norm(x), relation_bias, attend_mask)
-        if self.fused:
-            # Pre-LN residual junction as one add + one fused LayerNorm.
-            x, normed = get_backend(self.backend).layer_norm_residual(
-                x, attn_out, self.ffn_norm.alpha, self.ffn_norm.beta,
-                eps=self.ffn_norm.eps,
-            )
-            x = x + self.ffn(normed)
-        else:
-            x = x + attn_out
-            x = x + self.ffn(self.ffn_norm(x))
+        x = x + attn_out
+        x = x + self.ffn(self.ffn_norm(x))
         if return_weights:
             return x, weights
         return x

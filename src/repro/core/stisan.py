@@ -82,14 +82,12 @@ class STiSAN(Module):
                     use_attention=cfg.use_attention,
                     num_heads=cfg.num_heads,
                     rng=rng,
-                    fused=cfg.fused,
-                    backend=cfg.backend,
                 )
                 for _ in range(cfg.num_blocks)
             ]
         )
-        self.final_norm = LayerNorm(d, fused=cfg.fused, backend=cfg.backend)
-        self.decoder = TargetAwareAttentionDecoder(d, fused=cfg.fused, backend=cfg.backend)
+        self.final_norm = LayerNorm(d)
+        self.decoder = TargetAwareAttentionDecoder(d)
         self.serving_caches: Optional[ServingCaches] = None
 
     # ------------------------------------------------------------------

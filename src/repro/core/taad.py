@@ -17,10 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import functional as F
-from ..nn.attention import NEG_INF
-from ..nn.backend import get_backend
-from ..nn.fused import fused_default
+from ..nn import fused
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 
@@ -28,16 +25,9 @@ from ..nn.tensor import Tensor
 class TargetAwareAttentionDecoder(Module):
     """Parameter-free cross-attention decoder over encoder outputs."""
 
-    def __init__(
-        self,
-        dim: int,
-        fused: Optional[bool] = None,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.fused = fused_default() if fused is None else fused
-        self.backend = backend
 
     def forward(
         self,
@@ -65,25 +55,16 @@ class TargetAwareAttentionDecoder(Module):
         b, q, c, d = candidates.shape
         n = encoder_out.shape[1]
         flat = candidates.reshape(b, q * c, d)
-        if self.fused:
-            # Softmax over the key axis is invariant to the (b, q*c, n)
-            # vs (b, q, c, n) grouping, so the flat fused op is bitwise
-            # identical to the reshaped reference chain.
-            flat_mask = None
-            if attend_mask is not None:
-                flat_mask = np.broadcast_to(attend_mask, (b, q, c, n)).reshape(
-                    b, q * c, n
-                )
-            s = get_backend(self.backend).causal_attention(
-                flat, encoder_out, encoder_out, mask=flat_mask
-            ).reshape(b, q, c, d)
-        else:
-            scores = (flat @ encoder_out.transpose()) * (1.0 / np.sqrt(d))  # repro-lint: disable=REPRO-FUSED -- reference leg of the fused equivalence contract
-            scores = scores.reshape(b, q, c, n)
-            if attend_mask is not None:
-                scores = scores.masked_fill(np.broadcast_to(attend_mask, (b, q, c, n)), NEG_INF)
-            weights = F.softmax(scores, axis=-1)
-            s = (weights.reshape(b, q * c, n) @ encoder_out).reshape(b, q, c, d)
+        # Softmax over the key axis is invariant to the (b, q*c, n) vs
+        # (b, q, c, n) grouping, so one flat attention op serves every step.
+        flat_mask = None
+        if attend_mask is not None:
+            flat_mask = np.broadcast_to(attend_mask, (b, q, c, n)).reshape(
+                b, q * c, n
+            )
+        s = fused.fused_causal_attention(
+            flat, encoder_out, encoder_out, mask=flat_mask
+        ).reshape(b, q, c, d)
         if squeeze_step:
             s = s.reshape(b, c, d)
         return s

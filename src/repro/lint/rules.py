@@ -750,16 +750,16 @@ class DensePoiAllocationRule:
 class FusedAttentionRoutingRule:
     rule_id = "REPRO-FUSED"
     description = (
-        "Attention in the model layer (core/) must route through "
-        "repro.nn.fused so the fused/reference toggle stays the single "
-        "switch; a hand-rolled 'q @ k.transpose()' chain silently forks "
-        "the execution path (reference legs of the equivalence contract "
-        "suppress with a justification)."
+        "Attention in the model layer (core/) must call "
+        "repro.nn.fused.fused_causal_attention; a hand-rolled "
+        "'q @ k.transpose()' chain forks the one attention path and "
+        "escapes the kernel's equivalence and gradcheck tests (an "
+        "ablation that is not attention suppresses with a justification)."
     )
     severity = "error"
     family = "performance"
     semantic = False
-    example = "scores = q @ k.transpose(0, 2, 1)   # flagged: bypasses fused toggle"
+    example = "scores = q @ k.transpose(0, 2, 1)   # flagged: bypasses the kernel"
 
     #: methods/functions that transpose an operand for a score matmul.
     _TRANSPOSERS = frozenset({"transpose", "swapaxes"})
@@ -788,8 +788,8 @@ class FusedAttentionRoutingRule:
                         module, node, self.rule_id,
                         "hand-rolled attention score chain "
                         "('x @ y.transpose()') in core/; call "
-                        "repro.nn.fused.fused_causal_attention so the "
-                        "fused/reference toggle covers this site",
+                        "repro.nn.fused.fused_causal_attention, the one "
+                        "tested attention path",
                     )
                 )
         return findings

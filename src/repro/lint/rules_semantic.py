@@ -22,10 +22,6 @@ REPRO-GRAD-VERSION ``self.data`` writes that skip the version-counter
                    discipline the anomaly sanitizer relies on
 REPRO-ASTYPE-COPY  gradient-path ``astype(np.float32)`` without
                    ``copy=False`` (mechanical; ``repro check --fix``)
-REPRO-BACKEND      core/ calling fused kernels directly instead of
-                   dispatching through the ``repro.nn.backend``
-                   registry — the bypass that pins a model to one
-                   execution strategy
 =================  ===================================================
 
 Adding a family: subclass nothing — implement the :class:`Rule`
@@ -805,102 +801,6 @@ class AstypeCopyRule:
                             "copy=False always copies; pass copy=False "
                             "(autofixable via repro check --fix)",
                             self.severity,
-                        )
-                    )
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# Family: backend dispatch discipline
-# ---------------------------------------------------------------------------
-
-
-@register
-class BackendDispatchRule:
-    """Model-layer code must reach kernels through the backend registry.
-
-    ``repro.nn.backend`` is the single dispatch point for the fused
-    kernels (numpy reference, blocked tiling, optional numexpr); a
-    ``core/`` module that imports a kernel straight from
-    ``repro.nn.fused`` pins that call site to one execution strategy
-    and silently escapes the ``REPRO_BACKEND`` /
-    ``STiSANConfig.backend`` switch.  Importing the *toggles*
-    (``fused_default``, ``set_fused_default``) stays legal — they are
-    configuration, not kernels.  Both the offending import and any call
-    through a fused-module alias are flagged.
-    """
-
-    rule_id = "REPRO-BACKEND"
-    description = (
-        "core/ must not call fused kernels directly; dispatch through "
-        "repro.nn.backend.get_backend so every call site honours the "
-        "REPRO_BACKEND / STiSANConfig.backend switch (reference legs "
-        "suppress with a justification)."
-    )
-    severity = "error"
-    family = "performance"
-    semantic = False
-    example = (
-        "from ..nn.fused import fused_causal_attention   # flagged: "
-        "use get_backend(...).causal_attention"
-    )
-
-    #: kernel entry points of repro.nn.fused; the backend registry
-    #: exposes each of them, so a direct import always has a
-    #: dispatchable equivalent.
-    _KERNELS = frozenset(
-        {"fused_causal_attention", "layer_norm", "layer_norm_residual"}
-    )
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return "core" in module.path.parts and not module.in_nn
-
-    @staticmethod
-    def _is_fused_module(dotted: Optional[str]) -> bool:
-        return dotted is not None and (
-            dotted == "nn.fused" or dotted.endswith(".nn.fused")
-        )
-
-    def check(self, module: ModuleInfo) -> List[Finding]:
-        findings = []
-        fused_aliases: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                # level>0 relative imports keep the trailing module path
-                # in node.module ("..nn.fused" -> "nn.fused").
-                if not self._is_fused_module(node.module):
-                    continue
-                for alias in node.names:
-                    if alias.name in self._KERNELS:
-                        findings.append(
-                            _finding(
-                                module, node.lineno, self.rule_id,
-                                f"kernel {alias.name!r} imported straight "
-                                "from repro.nn.fused in core/; route the "
-                                "call through repro.nn.backend.get_backend "
-                                "so the backend switch covers this site",
-                            )
-                        )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if self._is_fused_module(alias.name):
-                        fused_aliases.add(alias.asname or alias.name)
-        if fused_aliases:
-            for node in ast.walk(module.tree):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)):
-                    continue
-                dotted = _dotted(node.func)
-                if dotted is None or node.func.attr not in self._KERNELS:
-                    continue
-                prefix = dotted.rsplit(".", 1)[0]
-                if prefix in fused_aliases:
-                    findings.append(
-                        _finding(
-                            module, node.lineno, self.rule_id,
-                            f"direct fused-kernel call {dotted!r} in core/; "
-                            "use repro.nn.backend.get_backend(...)."
-                            f"{'causal_attention' if node.func.attr == 'fused_causal_attention' else node.func.attr}",
                         )
                     )
         return findings

@@ -8,15 +8,6 @@ reproduction runs on numpy alone.
 
 from . import functional
 from .anomaly import AnomalyError, anomaly_mode, is_anomaly_enabled
-from .backend import (
-    Backend,
-    available_backends,
-    backend_default,
-    get_backend,
-    register_backend,
-    set_backend_default,
-    set_block_target,
-)
 from .attention import (
     MultiHeadAttention,
     SelfAttention,
@@ -24,12 +15,7 @@ from .attention import (
     scaled_dot_product_attention,
 )
 from .conv import HorizontalConv, VerticalConv, unfold_sequence
-from .fused import (
-    fused_causal_attention,
-    fused_default,
-    layer_norm_residual,
-    set_fused_default,
-)
+from .fused import fused_causal_attention
 from .layers import (
     Dropout,
     Embedding,
@@ -91,16 +77,6 @@ __all__ = [
     "grad_arena",
     "active_arena",
     "fused_causal_attention",
-    "layer_norm_residual",
-    "fused_default",
-    "set_fused_default",
-    "Backend",
-    "available_backends",
-    "backend_default",
-    "get_backend",
-    "register_backend",
-    "set_backend_default",
-    "set_block_target",
     "QuantizedEmbedding",
     "QuantizedLinear",
     "quantize_rows_int8",

@@ -13,9 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import functional as F
-from .backend import get_backend
-from .fused import fused_default
+from . import fused
 from .layers import Dropout, Linear
 from .module import Module
 from .tensor import Tensor
@@ -35,10 +33,8 @@ def scaled_dot_product_attention(
     mask: Optional[np.ndarray] = None,
     bias: Optional[Tensor] = None,
     return_weights: bool = False,
-    fused: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> Tensor | Tuple[Tensor, np.ndarray]:
-    """Softmax(QK^T / sqrt(d) + bias, masked) V.
+    """Softmax(QK^T / sqrt(d) + bias, masked) V, as one fused op.
 
     Parameters
     ----------
@@ -47,29 +43,10 @@ def scaled_dot_product_attention(
     bias : additive term broadcastable to the attention map (pre-softmax).
     return_weights : also return the post-softmax attention map (detached
         numpy array) for interpretability visualizations (Figs. 5 and 7).
-    fused : route through the fused kernel of the selected execution
-        backend (one op, hand-derived backward) instead of the primitive
-        chain; None defers to the process default.  Forward is bitwise
-        identical either way.
-    backend : execution backend name (see :mod:`repro.nn.backend`);
-        None defers to the process default (env ``REPRO_BACKEND``).
     """
-    use_fused = fused_default() if fused is None else fused
-    if use_fused:
-        return get_backend(backend).causal_attention(
-            q, k, v, relation_bias=bias, mask=mask, return_weights=return_weights
-        )
-    d = q.shape[-1]
-    scores = (q @ k.transpose()) * (1.0 / np.sqrt(d))
-    if bias is not None:
-        scores = scores + bias
-    if mask is not None:
-        scores = scores.masked_fill(mask, NEG_INF)
-    weights = F.softmax(scores, axis=-1)
-    out = weights @ v
-    if return_weights:
-        return out, weights.data.copy()
-    return out
+    return fused.fused_causal_attention(
+        q, k, v, relation_bias=bias, mask=mask, return_weights=return_weights
+    )
 
 
 class SelfAttention(Module):

@@ -1,80 +1,64 @@
-"""Fused execution kernels for the numpy autograd engine.
+"""Attention and LayerNorm kernels for the numpy autograd engine.
 
-The reference model builds attention out of ~10 primitive autograd ops
-(``q @ k.T``, scale, relation add, mask, softmax, value aggregation),
-each allocating fresh intermediates and a Python closure.  At STiSAN's
-paper config the N=4 IAAB blocks dominate training cost, and most of it
-is allocator traffic and Python op overhead rather than BLAS.  This
-module collapses those chains into a few hand-differentiated kernels:
+The textbook formulation builds attention out of ~10 primitive autograd
+ops (``q @ k.T``, scale, relation add, mask, softmax, value
+aggregation), each allocating fresh intermediates and a Python closure.
+At STiSAN's paper config the N=4 IAAB blocks dominate training cost,
+and most of it is allocator traffic and Python op overhead rather than
+BLAS.  This module is the one implementation every model uses; it
+collapses those chains into two hand-differentiated kernels:
 
 ``fused_causal_attention``
     scores + relation add + mask + softmax + value aggregation in one
     forward with a single hand-derived backward (single- and
     multi-head; the relation bias may be a constant array or a
-    differentiable Tensor).
+    differentiable Tensor).  IAAB (Eq. 6), TAAD (Eq. 10) and
+    :func:`repro.nn.attention.scaled_dot_product_attention` call it.
 
 ``layer_norm``
     the full LayerNorm (mean/var/normalize/scale/shift — ~10 primitive
-    ops in :func:`repro.nn.functional.layer_norm`) as one op with the
-    standard closed-form backward.
+    ops) as one op with the standard closed-form backward.
 
-``layer_norm_residual``
-    the pre-LN residual junction ``h = x + sublayer(…); n = LN(h)``:
-    one primitive add plus one fused LayerNorm, returning ``(h, n)``.
+Each kernel has a primitive-op oracle that exists only to test it:
+:func:`reference_causal_attention` here, and
+:func:`repro.nn.functional.layer_norm`.  The contract, enforced by
+``tests/test_fused.py`` and ``tests/test_nn_gradcheck.py``:
 
-Equivalence contract (enforced by ``tests/test_fused.py``):
+- **forward is bitwise identical** to the oracle — the same numpy
+  operations are applied in the same order with the same float32
+  scalars;
+- **backward matches the oracle within 1e-6** — the hand-derived
+  gradients are the same math evaluated in a fused order, so
+  individual GEMMs may round differently in the last ulp — and
+  finite differences within the gradcheck tolerances.
 
-- **forward is bitwise identical** to the reference chain — the same
-  numpy operations are applied in the same order with the same
-  float32 scalars, so golden fixtures and cached serving outputs are
-  unchanged by the ``fused`` toggle;
-- **backward matches within 1e-6** — the hand-derived gradients are
-  the same math but evaluated in a fused order, so individual GEMMs
-  may round differently in the last ulp.
+Call sites reach the kernels through this module
+(``fused.fused_causal_attention(...)``), so a test can swap an oracle in
+with ``unittest.mock.patch.object`` and compare whole models leg
+against leg.
 
 Scratch intermediates come from the gradient arena when one is
 installed (see :class:`repro.nn.tensor.GradArena`); op outputs and
 parameter gradients are always ordinary arrays.
-
-The module-level default (``fused_default()``) is **on**; it can be
-flipped for a whole process with ``REPRO_FUSED=0`` or per-model via
-``STiSANConfig(fused=False)``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from . import functional as F
 from .tensor import Tensor, arena_empty, unbroadcast
 
 __all__ = [
     "fused_causal_attention",
     "layer_norm",
-    "layer_norm_residual",
-    "fused_default",
-    "set_fused_default",
+    "reference_causal_attention",
 ]
 
 #: Matches repro.nn.attention.NEG_INF (not imported to avoid a cycle).
 _NEG_INF = np.float32(-1e9)
-
-_default: bool = os.environ.get("REPRO_FUSED", "").strip() not in ("0", "false")
-
-
-def fused_default() -> bool:
-    """Process-wide default for the ``fused`` toggles (env ``REPRO_FUSED``)."""
-    return _default
-
-
-def set_fused_default(enabled: bool) -> bool:
-    """Set the process-wide fused default; returns the previous value."""
-    global _default
-    previous = _default
-    _default = bool(enabled)
-    return previous
 
 
 def fused_causal_attention(
@@ -197,18 +181,34 @@ def layer_norm(x: Tensor, alpha: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._make(out_data, (x, alpha, beta), backward)
 
 
-def layer_norm_residual(
-    x: Tensor,
-    sublayer_out: Tensor,
-    alpha: Tensor,
-    beta: Tensor,
-    eps: float = 1e-5,
-) -> Tuple[Tensor, Tensor]:
-    """The pre-LN residual junction: ``h = x + sublayer_out; n = LN(h)``.
+def reference_causal_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    relation_bias: Optional[Union[Tensor, np.ndarray]] = None,
+    mask: Optional[np.ndarray] = None,
+    scale: Optional[float] = None,
+    return_weights: bool = False,
+) -> Tensor | Tuple[Tensor, np.ndarray]:
+    """Test oracle for :func:`fused_causal_attention`, same signature.
 
-    Returns ``(h, n)`` — ``h`` continues the residual stream, ``n``
-    feeds the next sublayer.  Two ops total instead of the ~12 the
-    reference chain spends on the add + unfused LayerNorm.
+    The textbook primitive-op chain: every step is its own autograd op.
+    Models never call it; the equivalence tests patch it over the
+    kernel to check the kernel's forward bitwise and its backward
+    within 1e-6.
     """
-    h = x + sublayer_out
-    return h, layer_norm(h, alpha, beta, eps=eps)
+    d = q.shape[-1]
+    scale32 = np.float32(1.0 / np.sqrt(d)) if scale is None else np.float32(scale)
+    scores = (q @ k.transpose()) * scale32
+    if relation_bias is not None:
+        bias = relation_bias
+        if not isinstance(bias, Tensor):
+            bias = Tensor(np.ascontiguousarray(bias))
+        scores = scores + bias
+    if mask is not None:
+        scores = scores.masked_fill(mask, _NEG_INF)
+    weights = F.softmax(scores, axis=-1)
+    out = weights @ v
+    if return_weights:
+        return out, weights.data.copy()
+    return out

@@ -13,9 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from . import init
-from .backend import get_backend
-from .fused import fused_default
+from . import fused, init
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -81,36 +79,17 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalization over the last dimension — Eq. (9).
+    """Layer normalization over the last dimension — Eq. (9), one fused op."""
 
-    ``fused=True`` routes through the selected execution backend's
-    single-op kernel (bitwise-identical forward, closed-form backward);
-    None defers to the process-wide fused default.  ``backend`` picks
-    the kernel implementation (see :mod:`repro.nn.backend`); None
-    resolves the process default at every call.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        eps: float = 1e-5,
-        fused: Optional[bool] = None,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
         self.dim = dim
         self.eps = eps
-        self.fused = fused_default() if fused is None else fused
-        self.backend = backend
         self.alpha = Parameter(init.ones((dim,)))
         self.beta = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.fused:
-            return get_backend(self.backend).layer_norm(
-                x, self.alpha, self.beta, eps=self.eps
-            )
-        return F.layer_norm(x, self.alpha, self.beta, eps=self.eps)
+        return fused.layer_norm(x, self.alpha, self.beta, eps=self.eps)
 
 
 class Dropout(Module):

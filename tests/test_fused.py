@@ -1,24 +1,33 @@
-"""Fused-vs-reference equivalence suite for ``repro.nn.fused``.
+"""Kernel-vs-oracle equivalence suite for ``repro.nn.fused``.
 
-The fused execution layer's contract (module docstring of
-:mod:`repro.nn.fused`):
+``repro.nn.fused`` holds the one attention kernel and the one LayerNorm
+kernel every model runs.  Each has a primitive-op oracle kept only for
+these tests: ``fused.reference_causal_attention`` and
+``repro.nn.functional.layer_norm``.  Call sites look the kernels up on
+the module at call time, so :func:`oracle_kernels` swaps the oracles in
+with ``unittest.mock.patch.object`` and whole models can run leg
+against leg.  The contract (module docstring of :mod:`repro.nn.fused`):
 
-- the fused **forward is bitwise identical** to the reference op chain
-  (same numpy operations, same order, same float32 scalars);
-- the fused **backward matches within 1e-6** (same math, fused
+- the kernel **forward is bitwise identical** to the oracle (same numpy
+  operations, same order, same float32 scalars);
+- the kernel **backward matches within 1e-6** (same math, fused
   evaluation order, so GEMMs may round differently in the last ulp);
 - ``FlatAdam`` performs **bitwise identical** updates to ``Adam`` and
   their ``state_dict``s are interchangeable (checkpoint compatibility);
 - the gradient arena changes buffer provenance only, never values.
 
-The suite drives both legs over random shapes, padding masks,
-multi-head splits, dropout in train and eval mode, and with
-anomaly-mode graph checking enabled, then closes with the end-to-end
-guards: the committed golden top-10 fixture must be reproduced by the
-*reference* leg too (the fused leg is covered by
-``test_golden_regression``), and kill-and-resume must stay bitwise
-with fusion pinned on.
+:class:`TestOracleSeam` pins the seam itself: every call site must
+reach the patched kernels, or the oracle comparisons below would
+silently compare the kernel against itself.  The suite then drives both
+legs over random shapes, padding masks, multi-head splits, dropout in
+train and eval mode, and with anomaly-mode graph checking enabled, and
+closes with the end-to-end guards: the committed golden top-10 fixture
+must be reproduced by the oracle leg too (the kernel leg is covered by
+``test_golden_regression``), and kill-and-resume must stay bitwise.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,15 +40,34 @@ from repro.core.taad import TargetAwareAttentionDecoder, step_causal_mask
 from repro.core.trainer import train_stisan
 from repro.data import partition
 from repro.faults import SimulatedCrash, fault_injection
-from repro.nn import anomaly_mode
-from repro.nn.attention import causal_mask, scaled_dot_product_attention
-from repro.nn.fused import fused_default, set_fused_default
+from repro.nn import anomaly_mode, fused
+from repro.nn import functional as F
+from repro.nn.attention import (
+    MultiHeadAttention,
+    SelfAttention,
+    causal_mask,
+    scaled_dot_product_attention,
+)
+from repro.nn.layers import LayerNorm
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.tensor import Tensor, grad_arena
 
 BACKWARD_ATOL = 1e-6
 BACKWARD_RTOL = 1e-5
+
+
+@contextlib.contextmanager
+def oracle_kernels():
+    """Run every call site on the primitive-op oracles instead of the kernels."""
+    with mock.patch.object(
+        fused, "fused_causal_attention", fused.reference_causal_attention
+    ), mock.patch.object(fused, "layer_norm", F.layer_norm):
+        yield
+
+
+def _leg(oracle):
+    return oracle_kernels() if oracle else contextlib.nullcontext()
 
 
 def _attention_case(seed):
@@ -66,14 +94,15 @@ def _attention_case(seed):
     return q, k, v, bias, mask, upstream
 
 
-def _run_attention_leg(case, fused):
+def _run_attention_leg(case, oracle=False):
     q_arr, k_arr, v_arr, bias_arr, mask, upstream = case
     q = Tensor(q_arr.copy(), requires_grad=True)
     k = Tensor(k_arr.copy(), requires_grad=True)
     v = Tensor(v_arr.copy(), requires_grad=True)
     bias = None if bias_arr is None else Tensor(bias_arr.copy(), requires_grad=True)
-    out = scaled_dot_product_attention(q, k, v, mask=mask, bias=bias, fused=fused)
-    (out * Tensor(upstream)).sum().backward()
+    with _leg(oracle):
+        out = scaled_dot_product_attention(q, k, v, mask=mask, bias=bias)
+        (out * Tensor(upstream)).sum().backward()
     grads = [q.grad, k.grad, v.grad] + ([] if bias is None else [bias.grad])
     return out.data, grads
 
@@ -82,8 +111,8 @@ class TestFusedAttentionProperty:
     @pytest.mark.parametrize("seed", range(12))
     def test_forward_bitwise_backward_close(self, seed):
         case = _attention_case(seed)
-        ref_out, ref_grads = _run_attention_leg(case, fused=False)
-        fus_out, fus_grads = _run_attention_leg(case, fused=True)
+        ref_out, ref_grads = _run_attention_leg(case, oracle=True)
+        fus_out, fus_grads = _run_attention_leg(case)
         assert np.array_equal(fus_out, ref_out), "fused forward is not bitwise"
         for name, rg, fg in zip("qkv b", ref_grads, fus_grads):
             np.testing.assert_allclose(
@@ -95,11 +124,12 @@ class TestFusedAttentionProperty:
         case = _attention_case(4)
         q, k, v, bias_arr, mask, _ = case
         args = dict(mask=mask, bias=None if bias_arr is None else Tensor(bias_arr))
-        ref_out, ref_w = scaled_dot_product_attention(
-            Tensor(q), Tensor(k), Tensor(v), return_weights=True, fused=False, **args
-        )
+        with oracle_kernels():
+            ref_out, ref_w = scaled_dot_product_attention(
+                Tensor(q), Tensor(k), Tensor(v), return_weights=True, **args
+            )
         fus_out, fus_w = scaled_dot_product_attention(
-            Tensor(q), Tensor(k), Tensor(v), return_weights=True, fused=True, **args
+            Tensor(q), Tensor(k), Tensor(v), return_weights=True, **args
         )
         assert np.array_equal(fus_out.data, ref_out.data)
         assert np.array_equal(fus_w, ref_w)
@@ -108,17 +138,15 @@ class TestFusedAttentionProperty:
         """The fused ops must pass the autograd sanitizer end to end."""
         case = _attention_case(6)
         with anomaly_mode():
-            out_data, grads = _run_attention_leg(case, fused=True)
+            out_data, grads = _run_attention_leg(case)
         assert np.isfinite(out_data).all()
         for g in grads:
             assert np.isfinite(g).all()
 
 
 def _paired_modules(factory, seed=3):
-    """Build (reference, fused) instances with identical weights/RNG."""
-    ref = factory(rng=np.random.default_rng(seed), fused=False)
-    fus = factory(rng=np.random.default_rng(seed), fused=True)
-    return ref, fus
+    """Build (oracle-leg, kernel-leg) instances with identical weights/RNG."""
+    return factory(np.random.default_rng(seed)), factory(np.random.default_rng(seed))
 
 
 def _param_grads_close(ref_mod, fus_mod):
@@ -134,16 +162,123 @@ def _param_grads_close(ref_mod, fus_mod):
         )
 
 
+def _seq_inputs(dim, b=3, n=8, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, n, dim)).astype(np.float32)
+    bias = rng.standard_normal((b, n, n)).astype(np.float32)
+    mask = np.broadcast_to(causal_mask(n), (b, n, n))
+    upstream = rng.standard_normal((b, n, dim)).astype(np.float32)
+    return x, bias, mask, upstream
+
+
+class TestOracleSeam:
+    """Every call site must reach the kernels through ``repro.nn.fused``.
+
+    Sentinels patched over the two kernels count their calls (and
+    delegate, so the forward still runs).  A site that bound a kernel
+    at import time would miss them — and would then run the kernel in
+    the oracle leg of every comparison below.
+    """
+
+    DIM = 12
+
+    @contextlib.contextmanager
+    def _sentinels(self):
+        calls = {"attention": 0, "layer_norm": 0}
+        kernels = {"attention": fused.fused_causal_attention,
+                   "layer_norm": fused.layer_norm}
+
+        def sentinel(key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return kernels[key](*args, **kwargs)
+            return wrapped
+
+        with mock.patch.object(
+            fused, "fused_causal_attention", sentinel("attention")
+        ), mock.patch.object(fused, "layer_norm", sentinel("layer_norm")):
+            yield calls
+
+    def _sites(self):
+        x, bias, mask, _ = _seq_inputs(self.DIM)
+        rng = np.random.default_rng(3)
+        cand = Tensor(rng.standard_normal((3, 4, self.DIM)).astype(np.float32))
+        return {
+            "iaab_1_head": (
+                lambda: IntervalAwareAttentionLayer(self.DIM, rng=rng)(
+                    Tensor(x), bias, mask),
+                {"attention": 1, "layer_norm": 0},
+            ),
+            "iaab_2_heads": (
+                lambda: IntervalAwareAttentionLayer(
+                    self.DIM, num_heads=2, rng=rng)(Tensor(x), bias, mask),
+                {"attention": 1, "layer_norm": 0},
+            ),
+            "taad": (
+                lambda: TargetAwareAttentionDecoder(self.DIM)(cand, Tensor(x)),
+                {"attention": 1, "layer_norm": 0},
+            ),
+            "self_attention": (
+                lambda: SelfAttention(self.DIM, rng=rng)(Tensor(x), mask=mask),
+                {"attention": 1, "layer_norm": 0},
+            ),
+            "multi_head_attention": (
+                lambda: MultiHeadAttention(self.DIM, 3, rng=rng)(
+                    Tensor(x), mask=causal_mask(x.shape[1])),
+                {"attention": 1, "layer_norm": 0},
+            ),
+            "layer_norm": (
+                lambda: LayerNorm(self.DIM)(Tensor(x)),
+                {"attention": 0, "layer_norm": 1},
+            ),
+            # attn_norm + the pre-LN residual junction's ffn_norm.
+            "iaab_block": (
+                lambda: IntervalAwareAttentionBlock(
+                    self.DIM, hidden_dim=24, rng=rng)(Tensor(x), bias, mask),
+                {"attention": 1, "layer_norm": 2},
+            ),
+        }
+
+    @pytest.mark.parametrize("site", [
+        "iaab_1_head", "iaab_2_heads", "taad", "self_attention",
+        "multi_head_attention", "layer_norm", "iaab_block",
+    ])
+    def test_call_site_reaches_patched_kernels(self, site):
+        run, expected = self._sites()[site]
+        with self._sentinels() as calls:
+            run()
+        assert calls == expected
+
+
+class TestLayerNormOracle:
+    SHAPES = [(6,), (5, 8), (3, 7, 4), (2, 3, 5, 6)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_bitwise_backward_close(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x_arr = rng.standard_normal(shape).astype(np.float32)
+        upstream = rng.standard_normal(shape).astype(np.float32)
+        legs = []
+        for norm in (F.layer_norm, fused.layer_norm):
+            alpha = Parameter(np.linspace(0.5, 1.5, shape[-1], dtype=np.float32))
+            beta = Parameter(np.linspace(-0.2, 0.2, shape[-1], dtype=np.float32))
+            x = Tensor(x_arr.copy(), requires_grad=True)
+            out = norm(x, alpha, beta)
+            (out * Tensor(upstream)).sum().backward()
+            legs.append((out.data, [x.grad, alpha.grad, beta.grad]))
+        (ref_out, ref_grads), (fus_out, fus_grads) = legs
+        assert np.array_equal(fus_out, ref_out), "layer_norm forward not bitwise"
+        for rg, fg in zip(ref_grads, fus_grads):
+            np.testing.assert_allclose(
+                fg, rg, atol=BACKWARD_ATOL, rtol=BACKWARD_RTOL
+            )
+
+
 class TestModuleEquivalence:
     DIM = 12
 
-    def _inputs(self, b=3, n=8, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((b, n, self.DIM)).astype(np.float32)
-        bias = rng.standard_normal((b, n, n)).astype(np.float32)
-        mask = np.broadcast_to(causal_mask(n), (b, n, n))
-        upstream = rng.standard_normal((b, n, self.DIM)).astype(np.float32)
-        return x, bias, mask, upstream
+    def _inputs(self):
+        return _seq_inputs(self.DIM)
 
     def _compare(self, ref, fus, forward, train=False):
         x_arr, *_ , upstream = self._inputs()
@@ -151,11 +286,12 @@ class TestModuleEquivalence:
         (fus.train() if train else fus.eval())
         xr = Tensor(x_arr.copy(), requires_grad=True)
         xf = Tensor(x_arr.copy(), requires_grad=True)
-        out_r = forward(ref, xr)
+        with oracle_kernels():
+            out_r = forward(ref, xr)
+            (out_r * Tensor(upstream)).sum().backward()
         out_f = forward(fus, xf)
-        assert np.array_equal(out_f.data, out_r.data), "module forward not bitwise"
-        (out_r * Tensor(upstream)).sum().backward()
         (out_f * Tensor(upstream)).sum().backward()
+        assert np.array_equal(out_f.data, out_r.data), "module forward not bitwise"
         np.testing.assert_allclose(
             xf.grad, xr.grad, atol=BACKWARD_ATOL, rtol=BACKWARD_RTOL
         )
@@ -165,28 +301,26 @@ class TestModuleEquivalence:
     def test_iaab_layer(self, num_heads):
         _, bias, mask, _ = self._inputs()
         ref, fus = _paired_modules(
-            lambda rng, fused: IntervalAwareAttentionLayer(
-                self.DIM, num_heads=num_heads, rng=rng, fused=fused
+            lambda rng: IntervalAwareAttentionLayer(
+                self.DIM, num_heads=num_heads, rng=rng
             )
         )
         self._compare(ref, fus, lambda m, x: m(x, bias, mask))
 
     def test_iaab_layer_dropout_train_mode(self):
-        """Dropout sits outside the fused op and consumes the same RNG
+        """Dropout sits outside the kernel and consumes the same RNG
         stream in both legs, so train mode stays bitwise too."""
         _, bias, mask, _ = self._inputs()
         ref, fus = _paired_modules(
-            lambda rng, fused: IntervalAwareAttentionLayer(
-                self.DIM, dropout=0.4, rng=rng, fused=fused
-            )
+            lambda rng: IntervalAwareAttentionLayer(self.DIM, dropout=0.4, rng=rng)
         )
         self._compare(ref, fus, lambda m, x: m(x, bias, mask), train=True)
 
     def test_iaab_block(self):
         _, bias, mask, _ = self._inputs()
         ref, fus = _paired_modules(
-            lambda rng, fused: IntervalAwareAttentionBlock(
-                self.DIM, hidden_dim=24, dropout=0.3, rng=rng, fused=fused
+            lambda rng: IntervalAwareAttentionBlock(
+                self.DIM, hidden_dim=24, dropout=0.3, rng=rng
             )
         )
         self._compare(ref, fus, lambda m, x: m(x, bias, mask), train=True)
@@ -199,11 +333,12 @@ class TestModuleEquivalence:
         mask = step_causal_mask(q, n)[None]
         upstream = rng.standard_normal((b, q, c, self.DIM)).astype(np.float32)
         outs, grads = [], []
-        for fused in (False, True):
-            dec = TargetAwareAttentionDecoder(self.DIM, fused=fused)
+        for oracle in (True, False):
+            dec = TargetAwareAttentionDecoder(self.DIM)
             enc = Tensor(enc_arr.copy(), requires_grad=True)
-            s = dec(Tensor(cand.copy(), requires_grad=True), enc, attend_mask=mask)
-            (s * Tensor(upstream)).sum().backward()
+            with _leg(oracle):
+                s = dec(Tensor(cand.copy(), requires_grad=True), enc, attend_mask=mask)
+                (s * Tensor(upstream)).sum().backward()
             outs.append(s.data)
             grads.append(enc.grad)
         assert np.array_equal(outs[1], outs[0]), "TAAD forward not bitwise"
@@ -215,10 +350,10 @@ class TestModuleEquivalence:
 class TestArenaEquivalence:
     def test_arena_changes_nothing(self):
         case = _attention_case(7)
-        bare_out, bare_grads = _run_attention_leg(case, fused=True)
+        bare_out, bare_grads = _run_attention_leg(case)
         with grad_arena() as arena:
             for _ in range(3):  # later iterations recycle pooled buffers
-                pooled_out, pooled_grads = _run_attention_leg(case, fused=True)
+                pooled_out, pooled_grads = _run_attention_leg(case)
                 arena.reset()
         assert arena.hits > 0, "arena was never actually recycled"
         assert np.array_equal(pooled_out, bare_out)
@@ -326,42 +461,43 @@ class TestFlatAdamBitwise:
 MAX_LEN = 10
 
 
-def _stisan_pair(dataset, dropout=0.3):
-    def build(fused):
-        cfg = STiSANConfig.small(
-            max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=2,
-            dropout=dropout, fused=fused,
-        )
-        return STiSAN(dataset.num_pois, dataset.poi_coords, cfg,
-                      rng=np.random.default_rng(5))
-    return build(False), build(True)
+def _build_stisan(dataset, num_blocks=2, dropout=0.3):
+    cfg = STiSANConfig.small(
+        max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=num_blocks,
+        dropout=dropout,
+    )
+    return STiSAN(dataset.num_pois, dataset.poi_coords, cfg,
+                  rng=np.random.default_rng(5))
+
+
+def _one_batch(dataset):
+    from repro.data.batching import BatchIterator
+    from repro.data.negatives import NearestNegativeSampler
+
+    train, _ = partition(dataset, n=MAX_LEN)
+    rng = np.random.default_rng(0)
+    sampler = NearestNegativeSampler(dataset, num_negatives=3, pool_size=20, rng=rng)
+    iterator = BatchIterator(train, batch_size=4, sampler=sampler, rng=rng)
+    return next(iterator.iter_order(iterator.epoch_order()))
 
 
 @pytest.mark.slow
 class TestModelLevelEquivalence:
     def test_forward_train_bitwise(self, micro_dataset):
-        from repro.data.batching import BatchIterator
-        from repro.data.negatives import NearestNegativeSampler
-
-        train, _ = partition(micro_dataset, n=MAX_LEN)
-        ref, fus = _stisan_pair(micro_dataset)
         losses, grads = [], []
-        for model in (ref, fus):
-            rng = np.random.default_rng(0)
-            sampler = NearestNegativeSampler(
-                micro_dataset, num_negatives=3, pool_size=20, rng=rng
-            )
-            iterator = BatchIterator(train, batch_size=4, sampler=sampler, rng=rng)
-            batch = next(iterator.iter_order(iterator.epoch_order()))
+        for oracle in (True, False):
+            batch = _one_batch(micro_dataset)
+            model = _build_stisan(micro_dataset)
             model.train()
-            pos, neg = model.forward_train(
-                batch.src, batch.times, batch.tgt, batch.negatives
-            )
-            loss = weighted_bce_loss(pos, neg, batch.target_mask, temperature=1.0)
-            loss.backward()
+            with _leg(oracle):
+                pos, neg = model.forward_train(
+                    batch.src, batch.times, batch.tgt, batch.negatives
+                )
+                loss = weighted_bce_loss(pos, neg, batch.target_mask, temperature=1.0)
+                loss.backward()
             losses.append(float(loss.data))
             grads.append([p.grad for p in model.parameters()])
-        assert losses[1] == losses[0], "model-level fused loss is not bitwise"
+        assert losses[1] == losses[0], "model-level kernel loss is not bitwise"
         for i, (rg, fg) in enumerate(zip(*grads)):
             if rg is None:
                 assert fg is None
@@ -371,19 +507,43 @@ class TestModelLevelEquivalence:
                 err_msg=f"model parameter {i} gradient diverged",
             )
 
+    def test_flat_adam_loss_curve_equal(self, micro_dataset):
+        """A FlatAdam training loop on the kernels tracks the oracle leg
+        step for step: the first loss bitwise, later losses within the
+        backward tolerance the updates inherit."""
+        curves = []
+        for oracle in (True, False):
+            batch = _one_batch(micro_dataset)
+            model = _build_stisan(micro_dataset, num_blocks=1)
+            model.train()
+            opt = FlatAdam(model.parameters(), lr=1e-2)
+            curve = []
+            with _leg(oracle):
+                for _ in range(4):
+                    opt.zero_grad()
+                    pos, neg = model.forward_train(
+                        batch.src, batch.times, batch.tgt, batch.negatives
+                    )
+                    loss = weighted_bce_loss(
+                        pos, neg, batch.target_mask, temperature=1.0
+                    )
+                    loss.backward()
+                    opt.clip_grad_norm(5.0)
+                    opt.step()
+                    curve.append(float(loss.data))
+            curves.append(curve)
+        ref, fus = curves
+        assert fus[0] == ref[0], "first-step loss is not bitwise"
+        np.testing.assert_allclose(fus, ref, rtol=BACKWARD_RTOL, atol=BACKWARD_ATOL)
+
     def test_kill_and_resume_bitwise_with_fusion(self, micro_dataset, tmp_path):
-        """PR-4's headline property survives the fused execution layer:
+        """Bitwise kill-and-resume holds on the fused kernels:
         crash + resume reproduces the uninterrupted run to the last bit."""
         train, _ = partition(micro_dataset, n=MAX_LEN)
         config = TrainConfig(epochs=1, batch_size=4, num_negatives=3, seed=11)
 
         def fresh():
-            cfg = STiSANConfig.small(
-                max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=1,
-                dropout=0.1, fused=True,
-            )
-            return STiSAN(micro_dataset.num_pois, micro_dataset.poi_coords, cfg,
-                          rng=np.random.default_rng(5))
+            return _build_stisan(micro_dataset, num_blocks=1, dropout=0.1)
 
         baseline = fresh()
         train_stisan(baseline, micro_dataset, train, config)
@@ -400,30 +560,26 @@ class TestModelLevelEquivalence:
         assert set(expected) == set(got)
         for name in expected:
             assert np.array_equal(expected[name], got[name]), (
-                f"parameter {name} diverged across fused kill-and-resume"
+                f"parameter {name} diverged across kill-and-resume"
             )
 
 
 @pytest.mark.slow
 class TestGoldenBothLegs:
     def test_reference_leg_reproduces_golden(self):
-        """The committed golden top-10s predate the fused layer; the
-        reference leg must still reproduce them exactly."""
+        """The committed golden top-10s predate the fused kernels; the
+        oracle leg must still reproduce them exactly."""
         import json
 
         from tests.golden.regenerate import GOLDEN_PATH, build_golden
 
         committed = json.loads(GOLDEN_PATH.read_text())
-        previous = set_fused_default(False)
-        try:
-            assert fused_default() is False
+        with oracle_kernels():
             fresh = build_golden()
-        finally:
-            set_fused_default(previous)
         for user, expected in committed["users"].items():
             got = fresh["users"][user]
             assert got["pois"] == expected["pois"], (
-                f"user {user} ranking drifted on the reference leg"
+                f"user {user} ranking drifted on the oracle leg"
             )
             np.testing.assert_allclose(
                 np.asarray(got["scores"]), np.asarray(expected["scores"]),

@@ -10,14 +10,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.backend import (
-    available_backends,
-    blocked_causal_attention,
-    blocked_layer_norm,
-    get_backend,
-    set_block_target,
-)
-from repro.nn.fused import fused_causal_attention, layer_norm, layer_norm_residual
+from repro.nn.fused import fused_causal_attention, layer_norm
 from repro.nn.tensor import Tensor, grad_arena
 
 RNG = np.random.default_rng(0)
@@ -440,67 +433,17 @@ class TestFusedOps:
             num = numerical_grad(lambda arr: float(run(arr)[0].data), p_data.copy())
             np.testing.assert_allclose(tracked.grad, num, atol=2e-2, rtol=2e-2)
 
-    def test_layer_norm_residual_grad(self):
+    def test_residual_junction_layer_norm_grad(self):
+        """The IAAB pre-LN residual junction: h = x + sub; n = LN(h)."""
         sub = Tensor(RNG.normal(size=(3, 6)).astype(np.float32))
         alpha = Tensor(np.ones(6, dtype=np.float32))
         beta = Tensor(np.zeros(6, dtype=np.float32))
 
         def fn(x):
-            h, normed = layer_norm_residual(x, sub, alpha, beta)
-            return (h * normed).sum()
+            h = x + sub
+            return (h * layer_norm(h, alpha, beta)).sum()
 
         check(fn, (3, 6))
-
-
-class TestBackendOps:
-    """Finite-difference coverage for the alternate backend kernels
-    (repro.nn.backend).  The differential battery in
-    ``tests/test_backends.py`` pins them bitwise to the fused
-    reference; these checks validate their hand-derived backwards
-    *independently* against central differences, with the block target
-    shrunk so the chunked code path genuinely executes."""
-
-    def setup_method(self):
-        self._previous_target = set_block_target(16)
-
-    def teardown_method(self):
-        set_block_target(self._previous_target)
-
-    def _check_attention_kernel(self, attention_fn):
-        rng = np.random.default_rng(3)
-        b, n, d = 2, 4, 3
-        k_data = rng.uniform(-1, 1, (b, n, d)).astype(np.float32)
-        v_data = rng.uniform(-1, 1, (b, n, d)).astype(np.float32)
-        bias = rng.uniform(-1, 1, (n, n)).astype(np.float32)
-        mask = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), k=1), (b, n, n))
-
-        def run(arr):
-            q = Tensor(arr.astype(np.float32), requires_grad=True)
-            out = attention_fn(
-                q, Tensor(k_data), Tensor(v_data), relation_bias=bias, mask=mask
-            )
-            return (out * out).sum(), q
-
-        q_data = rng.uniform(-1, 1, (b, n, d))
-        out, q = run(q_data)
-        out.backward()
-        num = numerical_grad(lambda arr: float(run(arr)[0].data), q_data.copy())
-        np.testing.assert_allclose(q.grad, num, atol=2e-2, rtol=2e-2)
-
-    def test_blocked_causal_attention_grad(self):
-        self._check_attention_kernel(blocked_causal_attention)
-
-    def test_blocked_layer_norm_grad(self):
-        alpha = Tensor(RNG.normal(size=(6,)).astype(np.float32))
-        beta = Tensor(RNG.normal(size=(6,)).astype(np.float32))
-        check(lambda x: (blocked_layer_norm(x, alpha, beta) ** 2).sum(), (3, 6))
-
-    @pytest.mark.skipif(
-        "numexpr" not in available_backends(), reason="numexpr not installed"
-    )
-    def test_numexpr_causal_attention_grad(self):
-        numexpr_causal_attention = get_backend("numexpr").causal_attention
-        self._check_attention_kernel(numexpr_causal_attention)
 
 
 class TestGraphMechanics:

@@ -1,32 +1,28 @@
-"""Million-POI scaling: grid index + streaming negatives + sharded loss.
+"""Million-POI scaling: one KD-tree index + streaming negatives + sharded loss.
 
-The PR claim under test: a 500k-POI catalogue trains and serves with
+The claim under test: a 500k-POI catalogue trains and serves with
 peak memory *flat in the catalogue size* — no ``(P, pool_size)``
 neighbour table anywhere on the path.  Three subsystems carry that
-claim, and each gets a leg here:
+claim:
 
-1. **Quadkey grid index** (``repro.geo.grid``) — catalogue-scale k-NN
-   without a KD-tree rebuild per consumer; the dataset-level shared
-   handle means one build serves training, eval and serving.
-2. **Streaming negative sampler** — pools come from the grid index on
-   demand through a bounded LRU instead of a precomputed
-   ``(P, pool_size)`` table.  The dense table costs
-   ``(P+1) * pool * 8`` bytes — 8 GB at 500k POIs — and that blowup is
-   recorded as the baseline (measured at small P, extrapolated).
+1. **One shared spatial index** — the KD-tree ``PoiIndex``, built once
+   per dataset through ``CheckInDataset.spatial_index()``; the same
+   handle serves training, evaluation and serving.
+2. **Streaming negative sampler** — pools come from the index on
+   demand through a bounded LRU.  A dense ``(P, pool_size)`` table
+   would cost ``(P+1) * pool * 8`` bytes — 8 GB at 500k POIs — and the
+   sampler-phase RSS must stay under a fraction of that.
 3. **Sharded sampled-loss head** — ``weighted_bce_loss_sharded`` keeps
    loss temporaries bounded by the shard size; peak traced allocation
    must be flat across shard sizes and well under the unsharded head.
 
-A fourth leg pins correctness at today's scales: the ranking metrics
-under a grid-backed candidate retriever equal the KD-tree path's
-exactly (same slates, same scores, same HR/NDCG bitwise).
-
 Ceilings are fixed constants, not relative to hardware: streaming
-sampler setup must be near-instant, the scale profile's RSS delta
-must stay both under an absolute cap and under a fraction of the dense
-table it replaced, and the model build must stay under a per-POI time.
-``REPRO_BENCH_QUICK=1`` drops the catalogue to 50k POIs for the CI
-``scale-smoke`` job; the gates stay on.
+sampler setup must be near-instant, the index build must stay under a
+fixed time, the scale profile's RSS delta must stay both under an
+absolute cap and under a fraction of the dense table, and the model
+build must stay under a per-POI time.  ``REPRO_BENCH_QUICK=1`` drops
+the catalogue to 50k POIs for the CI ``scale-smoke`` job; the gates
+stay on.
 
 Results are persisted to ``benchmarks/results/BENCH_scale.json``.
 """
@@ -44,16 +40,12 @@ from repro.core.loss import weighted_bce_loss, weighted_bce_loss_sharded
 from repro.data import partition
 from repro.data.batching import BatchIterator
 from repro.data.negatives import EvalCandidateRetriever, NearestNegativeSampler
-from repro.data.synthetic import WorldConfig, generate_dataset
 from repro.data.types import CheckInDataset, UserSequence
-from repro.eval import evaluate
-from repro.geo.grid import build_spatial_index
 from repro.nn.optim import FlatAdam
 from repro.nn.tensor import Tensor, grad_arena
 
 #: Catalogue size for the scale profile.  50k in QUICK keeps the CI
-#: smoke under a couple of minutes while still crossing the auto
-#: grid-backend threshold, so the smoke exercises the same code path.
+#: smoke under a couple of minutes on the same code path.
 SCALE_POIS = 50_000 if QUICK else 500_000
 SCALE_USERS = 48
 SCALE_SEQ_LEN = 40
@@ -67,7 +59,7 @@ NUM_NEGATIVES = 8
 #: has three orders of magnitude of headroom against 1 second.
 SAMPLER_SETUP_CEILING_S = 1.0
 INDEX_BUILD_CEILING_S = 30.0
-#: Absolute cap on the sampler-phase RSS delta (catalogue + grid index
+#: Absolute cap on the sampler-phase RSS delta (catalogue + index
 #: + LRU at capacity), and the fraction of the dense table the same
 #: phase is allowed to cost.  The dense table alone is ~8012 MB at
 #: 500k POIs (801 MB even at the 50k smoke scale).
@@ -80,7 +72,7 @@ DENSE_FRACTION_CEILING = 0.35
 MODEL_BUILD_CEILING_S_PER_POI = 10e-6
 
 #: Sampling-throughput probe: one cold batch (every pool built via a
-#: grid query) then the same batch warm (every pool from the LRU).
+#: k-NN query) then the same batch warm (every pool from the LRU).
 SAMPLE_BATCH_SHAPE = (8, 16) if QUICK else (16, 16)
 
 #: Training leg: a few real optimizer steps over the scale catalogue
@@ -91,11 +83,8 @@ TRAIN_STEPS = 2 if QUICK else 3
 LOSS_SHARD = 64
 
 #: Serving leg: evaluation-protocol slates straight off the shared
-#: grid index (101 candidates each, top-up semantics included).
+#: index (101 candidates each, top-up semantics included).
 NUM_SLATES = 8 if QUICK else 16
-
-#: Small catalogue sizes for measuring the dense-table baseline.
-DENSE_POINTS = (1500, 3000) if QUICK else (2000, 6000)
 
 #: Sharded-loss memory probe shape: (rows, steps, negatives).  Big
 #: enough that loss temporaries dominate fixed overheads — the probe
@@ -113,7 +102,7 @@ def _peak_rss_mb() -> float:
 
 
 def dense_table_mb(num_pois: int) -> float:
-    """Bytes the precomputed ``(P + 1, pool_size)`` int64 table costs."""
+    """Bytes a dense ``(P + 1, pool_size)`` int64 pool table would cost."""
     return (num_pois + 1) * POOL_SIZE * 8 / 2**20
 
 
@@ -133,8 +122,7 @@ def build_scale_catalogue(
     """
     rng = np.random.default_rng(seed)
     # Keep districts larger than the negative pool (a city has far more
-    # than 2000 POIs), so a pool query resolves within one district
-    # instead of ring-expanding across empty ocean to the next one.
+    # than 2000 POIs), so a pool query resolves within one district.
     num_clusters = max(8, num_pois // (2 * POOL_SIZE))
     centers = np.stack(
         [
@@ -175,10 +163,8 @@ def run_scale_profile() -> dict:
     }
 
     t0 = time.perf_counter()
-    index = ds.spatial_index()  # auto resolves to the grid backend at this P
-    report["grid_index"] = {
-        "is_grid": index.backend == "grid",
-        "level": index.level,
+    index = ds.spatial_index()
+    report["spatial_index"] = {
         "build_s": time.perf_counter() - t0,
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -260,7 +246,7 @@ def run_scale_profile() -> dict:
         "peak_rss_mb": _peak_rss_mb(),
     }
 
-    # Serve: evaluation-protocol slates from the shared grid index.
+    # Serve: evaluation-protocol slates from the shared index.
     retriever = EvalCandidateRetriever(ds, num_candidates=100)
     shared = retriever.index is index is sampler.index
     users = ds.users()
@@ -285,13 +271,13 @@ def run_scale_profile() -> dict:
 
 def test_scale_profile(benchmark):
     report = benchmark.pedantic(run_scale_profile, rounds=1, iterations=1)
-    cat, grid = report["catalogue"], report["grid_index"]
+    cat, index = report["catalogue"], report["spatial_index"]
     samp, train, serve = report["streaming_sampler"], report["train"], report["serve"]
     dense_mb = cat["dense_table_mb_analytic"]
     rss_ceiling = min(SCALE_RSS_CEILING_MB, DENSE_FRACTION_CEILING * dense_mb)
     banner(f"Scale profile — {SCALE_POIS:,} POIs, pool {POOL_SIZE}")
     print(
-        f"grid index   level {grid['level']:2d}, built in {grid['build_s']:6.2f} s "
+        f"index        built in {index['build_s']:6.2f} s "
         f"(ceiling {INDEX_BUILD_CEILING_S:.0f} s)"
     )
     print(
@@ -321,11 +307,13 @@ def test_scale_profile(benchmark):
         rss_ceiling_mb=rss_ceiling, setup_ceiling_s=SAMPLER_SETUP_CEILING_S,
         model_build_ceiling_s_per_poi=MODEL_BUILD_CEILING_S_PER_POI,
     )
-    assert grid["is_grid"], "auto backend did not resolve to grid at scale"
-    assert grid["build_s"] <= INDEX_BUILD_CEILING_S, (
-        f"grid build {grid['build_s']:.1f}s over the {INDEX_BUILD_CEILING_S}s ceiling"
+    assert serve["shared_index_handle"], (
+        "sampler, retriever and dataset must share one index build"
     )
-    assert samp["is_streaming"], "sampler did not auto-select streaming mode"
+    assert index["build_s"] <= INDEX_BUILD_CEILING_S, (
+        f"index build {index['build_s']:.1f}s over the {INDEX_BUILD_CEILING_S}s ceiling"
+    )
+    assert samp["is_streaming"], "sampler is not streaming"
     assert samp["setup_s"] <= SAMPLER_SETUP_CEILING_S, (
         f"streaming setup {samp['setup_s']:.2f}s over the "
         f"{SAMPLER_SETUP_CEILING_S}s ceiling — is a pool table being built?"
@@ -351,80 +339,10 @@ def test_scale_profile(benchmark):
         "slates must be 1 target + 100 candidates, got widths "
         f"[{serve['slate_width_min']}, {serve['slate_width_max']}]"
     )
-    assert serve["shared_index_handle"], (
-        "sampler, retriever and dataset must share one index build"
-    )
 
 
 # ----------------------------------------------------------------------
-# Leg 2: the dense baseline this PR retires, measured at small P.
-# ----------------------------------------------------------------------
-def run_dense_baseline() -> dict:
-    rows = {}
-    for num_pois in DENSE_POINTS:
-        ds = build_scale_catalogue(num_pois, num_users=4, seq_len=16, seed=29)
-        index = ds.spatial_index(backend="tree")
-        t0 = time.perf_counter()
-        sampler = NearestNegativeSampler(
-            ds,
-            num_negatives=NUM_NEGATIVES,
-            pool_size=POOL_SIZE,
-            mode="precomputed",
-            index=index,
-            rng=np.random.default_rng(5),
-        )
-        rows[f"dense_pois{num_pois}"] = {
-            "num_pois": num_pois,
-            "setup_s": time.perf_counter() - t0,
-            "table_mb": sampler.pools.nbytes / 2**20,
-        }
-    hi = DENSE_POINTS[-1]
-    # Linear-in-P extrapolation is a *lower bound*: each KD-tree query
-    # is O(log P) on top, and the table itself dominates RSS anyway.
-    per_poi_s = rows[f"dense_pois{hi}"]["setup_s"] / hi
-    rows["dense_extrapolated"] = {
-        "num_pois": SCALE_POIS,
-        "setup_s_linear_lower_bound": per_poi_s * SCALE_POIS,
-        "table_mb_analytic": dense_table_mb(SCALE_POIS),
-    }
-    return rows
-
-
-def test_dense_baseline(benchmark):
-    rows = benchmark.pedantic(run_dense_baseline, rounds=1, iterations=1)
-    banner(f"Dense (P, pool) baseline — measured at P={DENSE_POINTS}")
-    for num_pois in DENSE_POINTS:
-        row = rows[f"dense_pois{num_pois}"]
-        print(
-            f"P={num_pois:<6d} setup {row['setup_s']:7.2f} s, "
-            f"table {row['table_mb']:8.1f} MB"
-        )
-    extr = rows["dense_extrapolated"]
-    print(
-        f"at {SCALE_POIS:,}: setup >= {extr['setup_s_linear_lower_bound']:.0f} s, "
-        f"table {extr['table_mb_analytic']:.0f} MB (analytic)"
-    )
-    try:
-        prior = results_store().load("BENCH_scale").rows
-    except FileNotFoundError:
-        prior = {}
-    persist(
-        "BENCH_scale", {**prior, **rows},
-        num_pois=SCALE_POIS, pool_size=POOL_SIZE,
-    )
-    lo, hi = DENSE_POINTS[0], DENSE_POINTS[-1]
-    for num_pois in DENSE_POINTS:
-        expected = (num_pois + 1) * min(POOL_SIZE, num_pois - 1) * 8 / 2**20
-        assert abs(rows[f"dense_pois{num_pois}"]["table_mb"] - expected) < 0.01, (
-            "dense table bytes diverged from the (P+1) x pool x 8 formula"
-        )
-    # Setup cost must actually grow with P — that growth is the blowup
-    # the streaming path removes.
-    assert rows[f"dense_pois{hi}"]["setup_s"] > rows[f"dense_pois{lo}"]["setup_s"]
-
-
-# ----------------------------------------------------------------------
-# Leg 3: sharded loss head — peak allocation flat in the shard count.
+# Leg 2: sharded loss head — peak allocation flat in the shard count.
 # ----------------------------------------------------------------------
 def _traced_peak_mb(fn) -> float:
     tracemalloc.start()
@@ -521,71 +439,3 @@ def test_sharded_loss_memory(benchmark):
         f"peak grew {ratio:.2f}x from shard {small} to {large} — not flat"
     )
 
-
-# ----------------------------------------------------------------------
-# Leg 4: grid vs KD-tree ranking metrics at current scales — identical.
-# ----------------------------------------------------------------------
-def run_metric_parity() -> dict:
-    ds = generate_dataset(
-        WorldConfig(
-            num_users=24 if QUICK else 32,
-            num_pois=240 if QUICK else 320,
-            avg_seq_length=40.0,
-            max_seq_length=160,
-        ),
-        seed=17,
-        name="parity",
-    )
-    _, eval_examples = partition(ds, n=16)
-    cfg = STiSANConfig(
-        max_len=16,
-        poi_dim=16,
-        geo_dim=16,
-        num_blocks=1,
-        ffn_hidden=64,
-        dropout=0.0,
-        quadkey_level=14,
-        quadkey_ngram=4,
-    )
-    t0 = time.perf_counter()
-    model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(3))
-    model.eval()
-    reports = {}
-    for backend in ("tree", "grid"):
-        index = build_spatial_index(ds.poi_coords[1:], offset=1, backend=backend)
-        retriever = EvalCandidateRetriever(ds, num_candidates=100, index=index)
-        reports[backend] = evaluate(
-            model, ds, eval_examples, retriever=retriever
-        )
-    return {
-        "parity_tree": {**reports["tree"].as_dict(), "instances": reports["tree"].num_instances},
-        "parity_grid": {**reports["grid"].as_dict(), "instances": reports["grid"].num_instances},
-        "parity_summary": {"identical": reports["tree"] == reports["grid"]},
-    }
-
-
-def test_metric_parity(benchmark):
-    report = benchmark.pedantic(run_metric_parity, rounds=1, iterations=1)
-    instances = report["parity_tree"]["instances"]
-    banner(f"Ranking-metric parity — {instances:.0f} eval instances")
-    for backend in ("tree", "grid"):
-        row = report[f"parity_{backend}"]
-        print(
-            f"{backend:5s} "
-            + "  ".join(f"{k}={v:.4f}" for k, v in row.items() if k != "instances")
-        )
-    try:
-        prior = results_store().load("BENCH_scale").rows
-    except FileNotFoundError:
-        prior = {}
-    persist(
-        "BENCH_scale", {**prior, **report},
-        num_pois=SCALE_POIS, pool_size=POOL_SIZE,
-    )
-    # Slates are bitwise identical across backends (the grid-index
-    # equivalence suite pins that), so the metrics must be *equal*,
-    # not merely close.
-    assert report["parity_summary"]["identical"], (
-        f"grid metrics diverged from the KD-tree path: "
-        f"{report['parity_grid']} vs {report['parity_tree']}"
-    )

@@ -65,13 +65,13 @@ class FPMCLR(SequentialRecommender):
         num_pois = dataset.num_pois
         k = min(self.neighborhood, num_pois - 1)
 
-        # Localized regions: each POI's candidate neighbourhood, built
-        # in one vectorized batch query on the shared dataset index
-        # (canonical (distance, id) order; k is clamped to num_pois - 1
-        # above, so every row is exactly full).
+        # Localized regions: each POI's candidate neighbourhood from the
+        # shared dataset index (canonical (distance, id) order; k is
+        # clamped to num_pois - 1 above, so every row is exactly full).
         index = dataset.spatial_index()
         self._pools = np.zeros((num_pois + 1, k), dtype=np.int64)
-        self._pools[1:] = index.knn_batch(k)
+        for poi in range(1, num_pois + 1):
+            self._pools[poi] = index.query(poi, k)[0]
 
         scale = 1.0 / np.sqrt(self.dim)
         self.v_user = rng.normal(0, scale, (len(users), self.dim))

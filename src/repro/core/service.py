@@ -405,45 +405,16 @@ class RecommendationService:
 
         Never raises because the *model* misbehaved: NaN/Inf scores or
         a model exception degrade the request to the distance/popularity
-        fallback (results tagged ``degraded=True``).
+        fallback (results tagged ``degraded=True``).  Exactly
+        ``recommend_batch([user], ...)[0]``, traced and counted as its
+        own ``recommend`` path.
         """
         with span("service.recommend"):
             if _obs._enabled:
                 REGISTRY.counter("repro_requests_total", {"path": "recommend"}).inc()
                 REGISTRY.counter("repro_queries_total", {"path": "recommend"}).inc()
-            self.health.requests += 1
-            session = self._require_session(user)
-            with span("service.slate"):
-                slate = self._resolve_slate(session, exclude_visited, candidates)
-            if slate.size == 0:
-                return []
-            src, times = self._query_arrays(session)
-            if not self.breaker.allow_request():
-                self._note_short_circuit()
-                self._note_degraded(1)
-                with span("service.rank"):
-                    return self._fallback_recommendations(
-                        session, k, exclude_visited, candidates
-                    )
-            scores = None
-            try:
-                with span("service.model_forward"):
-                    scores = self._score(
-                        src[None, :], times[None, :], slate[None, :], [user]
-                    )[0]
-            except Exception:
-                scores = None
-            if scores is not None and np.all(np.isfinite(scores)):
-                self.breaker.record_success()
-                with span("service.rank"):
-                    return self._package(session, slate, scores, k)
-            self.breaker.record_failure()
-            self._note_model_failure()
-            self._note_degraded(1)
-            with span("service.rank"):
-                return self._fallback_recommendations(
-                    session, k, exclude_visited, candidates
-                )
+            rows = None if candidates is None else [candidates]
+            return self._recommend_rows([user], k, exclude_visited, rows)[0]
 
     def recommend_batch(
         self,
@@ -481,108 +452,119 @@ class RecommendationService:
                 REGISTRY.counter("repro_queries_total", {"path": "recommend_batch"}).inc(
                     len(users)
                 )
-            self.health.requests += 1
-            if not users:
-                # The serving tier's dynamic batcher can legitimately
-                # dispatch an empty batch (every member expired or was
-                # shed between formation and execution).  Well-formed
-                # answer, model untouched, health already advanced.
-                return []
-            sessions = [self._require_session(u) for u in users]
-            with span("service.slate"):
-                slates = [
-                    self._resolve_slate(
-                        session, exclude_visited, None if candidates is None else candidates[i]
-                    )
-                    for i, session in enumerate(sessions)
-                ]
-            results: List[List[Recommendation]] = [[] for _ in users]
-            live = [i for i, slate in enumerate(slates) if slate.size > 0]
-            if not live:
-                return results
+            return self._recommend_rows(users, k, exclude_visited, candidates)
 
-            def row_candidates(i: int) -> Optional[Sequence[int]]:
-                return None if candidates is None else candidates[i]
-
-            if not self.breaker.allow_request():
-                self._note_short_circuit()
-                self._note_degraded(len(live))
-                with span("service.rank"):
-                    for i in live:
-                        results[i] = self._fallback_recommendations(
-                            sessions[i], k, exclude_visited, row_candidates(i)
-                        )
-                return results
-
-            with span("service.prepare"):
-                width = max(len(slates[i]) for i in live)
-                batch_slates = np.stack([
-                    np.concatenate([
-                        slates[i],
-                        np.full(width - len(slates[i]), slates[i][-1], dtype=np.int64),
-                    ])
-                    for i in live
-                ])
-                prepared = [self._query_arrays(sessions[i]) for i in live]
-                src = np.stack([p[0] for p in prepared])
-                times = np.stack([p[1] for p in prepared])
-            if _obs._enabled:
-                # Padding waste of the ragged-slate stack: filler slots
-                # scored but sliced off before ranking.
-                REGISTRY.counter("repro_batch_slate_slots_total").inc(width * len(live))
-                REGISTRY.counter("repro_batch_slate_pad_slots_total").inc(
-                    sum(width - len(slates[i]) for i in live)
+    def _recommend_rows(
+        self,
+        users: List[int],
+        k: int,
+        exclude_visited: bool,
+        candidates: Optional[Sequence[Optional[Sequence[int]]]],
+    ) -> List[List[Recommendation]]:
+        """The body both serving paths share, inside the caller's span."""
+        self.health.requests += 1
+        if not users:
+            # The serving tier's dynamic batcher can legitimately
+            # dispatch an empty batch (every member expired or was
+            # shed between formation and execution).  Well-formed
+            # answer, model untouched, health already advanced.
+            return []
+        sessions = [self._require_session(u) for u in users]
+        with span("service.slate"):
+            slates = [
+                self._resolve_slate(
+                    session, exclude_visited, None if candidates is None else candidates[i]
                 )
-            batch_scores = None
-            try:
-                with span("service.model_forward"):
-                    batch_scores = self._score(
-                        src, times, batch_slates, [users[i] for i in live]
-                    )
-            except Exception:
-                self._note_model_failure()
-            row_scores: Dict[int, np.ndarray] = {}
-            failed_rows: List[int] = []
-            if batch_scores is not None:
-                for row, i in enumerate(live):
-                    scores = batch_scores[row, : len(slates[i])]
-                    if np.all(np.isfinite(scores)):
-                        row_scores[i] = scores
-                    else:
-                        failed_rows.append(i)
-            else:
-                # The whole call failed; retry each row alone so one
-                # poisoned session cannot sink the rest of the batch.
-                for row, i in enumerate(live):
-                    try:
-                        scores = self._score(
-                            src[row : row + 1],
-                            times[row : row + 1],
-                            batch_slates[row : row + 1],
-                            [users[i]],
-                        )[0, : len(slates[i])]
-                    except Exception:
-                        failed_rows.append(i)
-                        continue
-                    if np.all(np.isfinite(scores)):
-                        row_scores[i] = scores
-                    else:
-                        failed_rows.append(i)
-            if row_scores:
-                self.breaker.record_success()
-            else:
-                self.breaker.record_failure()
-            if failed_rows and batch_scores is not None:
-                self._note_model_failure()
+                for i, session in enumerate(sessions)
+            ]
+        results: List[List[Recommendation]] = [[] for _ in users]
+        live = [i for i, slate in enumerate(slates) if slate.size > 0]
+        if not live:
+            return results
+
+        def row_candidates(i: int) -> Optional[Sequence[int]]:
+            return None if candidates is None else candidates[i]
+
+        if not self.breaker.allow_request():
+            self._note_short_circuit()
+            self._note_degraded(len(live))
             with span("service.rank"):
                 for i in live:
-                    if i in row_scores:
-                        results[i] = self._package(
-                            sessions[i], slates[i], row_scores[i], k
-                        )
-                    else:
-                        self._note_degraded(1)
-                        results[i] = self._fallback_recommendations(
-                            sessions[i], k, exclude_visited, row_candidates(i)
-                        )
+                    results[i] = self._fallback_recommendations(
+                        sessions[i], k, exclude_visited, row_candidates(i)
+                    )
             return results
+
+        with span("service.prepare"):
+            width = max(len(slates[i]) for i in live)
+            batch_slates = np.stack([
+                np.concatenate([
+                    slates[i],
+                    np.full(width - len(slates[i]), slates[i][-1], dtype=np.int64),
+                ])
+                for i in live
+            ])
+            prepared = [self._query_arrays(sessions[i]) for i in live]
+            src = np.stack([p[0] for p in prepared])
+            times = np.stack([p[1] for p in prepared])
+        if _obs._enabled:
+            # Padding waste of the ragged-slate stack: filler slots
+            # scored but sliced off before ranking.
+            REGISTRY.counter("repro_batch_slate_slots_total").inc(width * len(live))
+            REGISTRY.counter("repro_batch_slate_pad_slots_total").inc(
+                sum(width - len(slates[i]) for i in live)
+            )
+        batch_scores = None
+        try:
+            with span("service.model_forward"):
+                batch_scores = self._score(
+                    src, times, batch_slates, [users[i] for i in live]
+                )
+        except Exception:
+            self._note_model_failure()
+        row_scores: Dict[int, np.ndarray] = {}
+        failed_rows: List[int] = []
+        if batch_scores is not None:
+            for row, i in enumerate(live):
+                scores = batch_scores[row, : len(slates[i])]
+                if np.all(np.isfinite(scores)):
+                    row_scores[i] = scores
+                else:
+                    failed_rows.append(i)
+        elif len(live) > 1:
+            # The whole call failed; retry each row alone so one
+            # poisoned session cannot sink the rest of the batch.  A
+            # lone row has nothing to isolate: it degrades directly.
+            for row, i in enumerate(live):
+                try:
+                    scores = self._score(
+                        src[row : row + 1],
+                        times[row : row + 1],
+                        batch_slates[row : row + 1],
+                        [users[i]],
+                    )[0, : len(slates[i])]
+                except Exception:
+                    failed_rows.append(i)
+                    continue
+                if np.all(np.isfinite(scores)):
+                    row_scores[i] = scores
+                else:
+                    failed_rows.append(i)
+        if row_scores:
+            self.breaker.record_success()
+        else:
+            self.breaker.record_failure()
+        if failed_rows and batch_scores is not None:
+            self._note_model_failure()
+        with span("service.rank"):
+            for i in live:
+                if i in row_scores:
+                    results[i] = self._package(
+                        sessions[i], slates[i], row_scores[i], k
+                    )
+                else:
+                    self._note_degraded(1)
+                    results[i] = self._fallback_recommendations(
+                        sessions[i], k, exclude_visited, row_candidates(i)
+                    )
+        return results

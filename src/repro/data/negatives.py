@@ -8,23 +8,11 @@ Evaluation (Section IV-C): "we retrieve the nearest 100 previously
 unvisited POIs around the target as negative candidates" and rank the
 target among the 101.
 
-Scaling note
-------------
-:class:`NearestNegativeSampler` has two pool modes with bitwise
-identical output for a fixed seed:
-
-- ``precomputed`` materializes the full ``(num_pois + 1, pool_size)``
-  neighbour table up front — fastest per batch, but O(P · pool) setup
-  time and memory (the historical behaviour, right for small
-  catalogues);
-- ``streaming`` builds pools on demand from the spatial index, one
-  canonical k-NN query per *unique* target in the batch, memoized in a
-  bounded owner-tagged LRU — peak RSS stays flat in P, which is what
-  makes million-POI catalogues trainable.
-
-The equivalence holds because (a) both modes order pools canonically by
-``(distance_km, poi_id)`` and (b) the RNG column draws depend only on
-the targets, never on how the pools were produced.
+Pools are streamed: :class:`NearestNegativeSampler` builds each pool on
+demand from the shared spatial index, one canonical k-NN query per
+*unique* target in a batch, memoized in a bounded owner-tagged LRU.
+Peak RSS stays flat in the catalogue size, which is what makes
+million-POI catalogues trainable.
 """
 
 from __future__ import annotations
@@ -33,12 +21,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..geo.neighbors import SpatialIndexBase, pad_pool
+from ..geo.neighbors import pad_pool
 from .types import PAD_POI, CheckInDataset
-
-#: ``mode="auto"`` streams when the shared index resolved to the grid
-#: backend (large catalogues) and precomputes otherwise.
-SAMPLER_MODES = ("auto", "precomputed", "streaming")
 
 
 class NearestNegativeSampler:
@@ -46,8 +30,7 @@ class NearestNegativeSampler:
 
     Each target POI owns a pool of its ``pool_size`` nearest neighbours
     (canonical ``(distance, id)`` order); :meth:`sample` draws
-    ``num_negatives`` uniform picks from the target's pool.  See the
-    module docstring for the ``precomputed`` / ``streaming`` modes.
+    ``num_negatives`` uniform picks from the target's pool.
 
     When a catalogue cannot supply ``pool_size`` distinct neighbours
     the pool is right-padded by repeating the farthest neighbour
@@ -58,21 +41,20 @@ class NearestNegativeSampler:
     keeps the requested width and pads instead.
     """
 
+    #: Pools are always built per target on demand (see module docstring).
+    mode = "streaming"
+
     def __init__(
         self,
         dataset: CheckInDataset,
         num_negatives: int = 15,
         pool_size: int = 2000,
         rng: Optional[np.random.Generator] = None,
-        mode: str = "auto",
-        index: Optional[SpatialIndexBase] = None,
         cache_size: int = 8192,
         pad_to_pool_size: bool = False,
     ):
         if num_negatives < 1:
             raise ValueError("need at least one negative sample")
-        if mode not in SAMPLER_MODES:
-            raise ValueError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
         self.num_negatives = num_negatives
         self.rng = rng or np.random.default_rng()
         num_pois = dataset.num_pois
@@ -80,40 +62,24 @@ class NearestNegativeSampler:
             raise ValueError(
                 f"catalogue of {num_pois} POIs cannot supply {num_negatives} negatives"
             )
-        self.index = index if index is not None else dataset.spatial_index()
+        self.index = dataset.spatial_index()
         if pad_to_pool_size:
             self.pool_size = pool_size
         else:
             self.pool_size = min(pool_size, num_pois - 1)
-        if mode == "auto":
-            mode = "streaming" if self.index.backend == "grid" else "precomputed"
-        self.mode = mode
 
-        if mode == "precomputed":
-            k = min(self.pool_size, num_pois - 1)
-            body = self.index.knn_batch(k)
-            if k < self.pool_size:
-                # Vectorized pad_pool: repeat each row's farthest id.
-                pad = np.repeat(body[:, -1:], self.pool_size - k, axis=1)
-                body = np.concatenate([body, pad], axis=1)
-            # (num_pois + 1, pool_size) neighbour table; row 0 unused.
-            self.pools = np.zeros((num_pois + 1, self.pool_size), dtype=np.int64)
-            self.pools[1:] = body
-        else:
-            from ..core.cache import LRUCache  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the core<->data import cycle; runs once per sampler, not per batch
+        from ..core.cache import LRUCache  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the core<->data import cycle; runs once per sampler, not per batch
 
-            self._pool_cache = LRUCache(cache_size, name="negative-pools")
+        self._pool_cache = LRUCache(cache_size, name="negative-pools")
 
     def pool_for(self, target: int) -> np.ndarray:
         """The target's neighbour pool (canonical order, fixed width).
 
-        Streaming mode answers from the LRU or runs one k-NN query;
-        entries are owner-tagged by target POI so catalogue-slice
-        invalidation can evict exactly the affected pools.  Treat the
-        returned array as immutable.
+        Answers from the LRU or runs one k-NN query; entries are
+        owner-tagged by target POI so catalogue-slice invalidation can
+        evict exactly the affected pools.  Treat the returned array as
+        immutable.
         """
-        if self.mode == "precomputed":
-            return self.pools[target]
         pool = self._pool_cache.get(target)
         if pool is None:
             k = min(self.pool_size, len(self.index) - 1)
@@ -135,20 +101,14 @@ class NearestNegativeSampler:
         real = flat != PAD_POI
         if real.any():
             # Column draws come first and depend only on the number of
-            # real targets — the pool mode can never perturb the RNG
-            # stream, which is what keeps the two modes bitwise equal.
+            # real targets, so pool lookups can never perturb the RNG
+            # stream.
             cols = self.rng.integers(
                 0, self.pool_size, size=(int(real.sum()), self.num_negatives)
             )
-            if self.mode == "precomputed":
-                out[real] = self.pools[flat[real][:, None], cols]
-            else:
-                real_targets = flat[real]
-                pools = {int(t): self.pool_for(int(t)) for t in np.unique(real_targets)}
-                picked = np.empty_like(cols, dtype=np.int64)
-                for i, t in enumerate(real_targets):
-                    picked[i] = pools[int(t)][cols[i]]
-                out[real] = picked
+            unique, inverse = np.unique(flat[real], return_inverse=True)
+            table = np.stack([self.pool_for(int(t)) for t in unique])
+            out[real] = table[inverse.reshape(-1, 1), cols]
         return out.reshape(*targets.shape, self.num_negatives)
 
 
@@ -190,21 +150,14 @@ class UniformNegativeSampler:
 class EvalCandidateRetriever:
     """Builds the 101-POI ranking slate used by every evaluation run.
 
-    The spatial index is the dataset-level shared handle by default, so
-    training and evaluation setup build one index between them; pass
-    ``index`` to pin a specific backend (the grid-vs-tree slate
-    equivalence suite does).
+    The spatial index is the dataset-level shared handle, so training
+    and evaluation setup build one index between them.
     """
 
-    def __init__(
-        self,
-        dataset: CheckInDataset,
-        num_candidates: int = 100,
-        index: Optional[SpatialIndexBase] = None,
-    ):
+    def __init__(self, dataset: CheckInDataset, num_candidates: int = 100):
         self.dataset = dataset
         self.num_candidates = num_candidates
-        self.index = index if index is not None else dataset.spatial_index()
+        self.index = dataset.spatial_index()
         self._visited: Dict[int, set] = {
             u: set(map(int, s.pois)) for u, s in dataset.sequences.items()
         }

@@ -13,7 +13,7 @@ Conventions used across the repository
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -116,27 +116,22 @@ class CheckInDataset:
         """Vectorized POI id -> (lat, lon); padding maps to (0, 0)."""
         return self.poi_coords[np.asarray(pois, dtype=np.int64)]
 
-    def spatial_index(self, backend: str = "auto", level: Optional[int] = None):
-        """Shared spatial index over the POI catalogue (lazily built,
-        cached per resolved backend).
+    def spatial_index(self):
+        """Shared KD-tree index over the POI catalogue (built lazily,
+        once per dataset).
 
         Training negatives, evaluation candidate retrieval and serving
         slates all search the same static catalogue; routing them
         through this handle means one index build per dataset instead
-        of one per consumer.  ``backend`` is ``"tree"`` (KD-tree),
-        ``"grid"`` (quadkey grid) or ``"auto"`` (grid for large
-        catalogues, overridable via ``REPRO_SPATIAL_BACKEND``).
+        of one per consumer.
         """
-        from ..geo.grid import build_spatial_index, resolve_spatial_backend  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the geo<->data import cycle; consumers hold the returned handle
+        from ..geo import grid  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the geo<->data import cycle; consumers hold the returned handle
 
-        resolved = resolve_spatial_backend(backend, self.num_pois)
-        key = (resolved, level if resolved == "grid" else None)
-        cache = self.__dict__.setdefault("_spatial_indexes", {})
-        if key not in cache:
-            cache[key] = build_spatial_index(
-                self.poi_coords[1:], offset=1, backend=resolved, level=level
-            )
-        return cache[key]
+        # Called through the module so a wrapper installed on
+        # ``grid.build_spatial_index`` (the benchmark times it) sees it.
+        if "_spatial_index" not in self.__dict__:
+            self._spatial_index = grid.build_spatial_index(self.poi_coords[1:], offset=1)
+        return self._spatial_index
 
     def poi_visit_counts(self) -> np.ndarray:
         """(num_pois + 1,) visit frequency per POI id (index 0 unused)."""

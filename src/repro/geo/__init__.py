@@ -2,17 +2,11 @@
 encoding (GeoSAN geography-encoder input), KD-tree POI neighbourhood
 search, and coarse gridding."""
 
-from .grid import (
-    GRID_BACKEND_MIN_POIS,
-    GridIndex,
-    build_spatial_index,
-    resolve_spatial_backend,
-)
+from .grid import build_spatial_index
 from .gridding import GridSpec
 from .haversine import EARTH_RADIUS_KM, haversine, pairwise_haversine
 from .neighbors import (
     PoiIndex,
-    SpatialIndexBase,
     canonical_topk,
     chord_to_km,
     latlon_to_unit_xyz,
@@ -32,11 +26,7 @@ __all__ = [
     "haversine",
     "pairwise_haversine",
     "PoiIndex",
-    "GridIndex",
-    "SpatialIndexBase",
     "build_spatial_index",
-    "resolve_spatial_backend",
-    "GRID_BACKEND_MIN_POIS",
     "latlon_to_unit_xyz",
     "chord_to_km",
     "xyz_distance_km",

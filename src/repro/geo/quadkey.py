@@ -12,6 +12,9 @@ n-gram ids straight from the integer tile bits.  The string helpers
 (:func:`latlon_to_quadkey`, :func:`quadkey_to_ngrams`,
 :class:`QuadkeyVocab`) spell out the same encoding one POI at a time
 and serve as its readable reference.
+
+Tiles here are features, not a spatial index: neighbour search is the
+KD-tree in :mod:`repro.geo.neighbors`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ def latlon_to_tile_xy(lat, lon, level: int = 17):
     tile_y)`` of the same shape.  Latitudes beyond the Mercator clamp
     (poles) land in the edge tile rows, longitudes are clamped to
     [-180, 180]; NaN or infinite input raises ``ValueError``.  Every
-    tile consumer goes through here: :func:`quadkey_ngram_ids`,
-    :func:`latlon_to_quadkey` and :class:`repro.geo.grid.GridIndex`.
+    tile consumer goes through here: :func:`quadkey_ngram_ids` and
+    :func:`latlon_to_quadkey`.
     """
     if not 1 <= level <= 23:
         raise ValueError(f"zoom level must be in [1, 23], got {level}")

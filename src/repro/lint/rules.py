@@ -23,8 +23,8 @@ REPRO-ATOMICIO   no bare write-mode open / np.savez / Path.write_* in
 REPRO-FUSED      no hand-rolled ``q @ k.transpose()`` attention chains
                  in core/; route through repro.nn.fused
 REPRO-DENSEPOI   no catalogue-sized ``np.zeros((num_pois, ...))`` table
-                 allocations outside the sanctioned dense fallbacks;
-                 stream from the spatial grid index instead
+                 allocations outside the dense baselines; query the
+                 shared spatial index per target instead
 REPRO-SUP        suppression comments must carry a justification
 ==============   ======================================================
 
@@ -387,10 +387,6 @@ class SyntacticFloat64Rule:
         return findings
 
 
-#: Backwards-compatible alias for external importers of the old name.
-NoFloat64LeakRule = SyntacticFloat64Rule
-
-
 @register
 class NoTensorDataMutationRule:
     rule_id = "REPRO-MUT"
@@ -663,10 +659,10 @@ class DensePoiAllocationRule:
     description = (
         "No new catalogue-sized 2-D allocations: an np.zeros((num_pois, "
         "...))-shaped table scales O(P·k) and forecloses million-POI "
-        "catalogues.  Stream from the spatial index "
-        "(repro.geo.grid / CheckInDataset.spatial_index) instead; the "
-        "sanctioned dense fallbacks live in repro.data.negatives "
-        "(precomputed sampler mode) and repro.baselines."
+        "catalogues.  Query the shared spatial index "
+        "(CheckInDataset.spatial_index) per target instead, as the "
+        "streaming negative sampler does; only repro.baselines, whose "
+        "published formulations are dense, may keep such tables."
     )
     severity = "error"
     family = "performance"
@@ -675,19 +671,12 @@ class DensePoiAllocationRule:
 
     #: numpy allocators that materialize the full table.
     _ALLOCATORS = {"numpy.zeros", "numpy.empty", "numpy.ones", "numpy.full"}
-    #: Modules allowed to keep a dense per-POI table: the precomputed
-    #: sampler mode (small-catalogue fast path) and the baselines, whose
-    #: published formulations are dense.
-    SANCTIONED_FILES = frozenset({"negatives.py"})
+    #: Packages allowed to keep a dense per-POI table: the baselines,
+    #: whose published formulations are dense.
     SANCTIONED_DIRS = frozenset({"baselines"})
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        parts = module.path.parts
-        if any(part in self.SANCTIONED_DIRS for part in parts):
-            return False
-        if module.path.name in self.SANCTIONED_FILES and "data" in parts:
-            return False
-        return True
+        return not any(part in self.SANCTIONED_DIRS for part in module.path.parts)
 
     #: Widths up to this literal are treated as per-POI *records*
     #: (coordinates, (lat, lon) pairs), not neighbour tables.

@@ -9,7 +9,6 @@ import repro.core.geo_encoder as geo_encoder_module
 from repro.core.geo_encoder import GeographyEncoder
 from repro.geo import (
     EARTH_RADIUS_KM,
-    GridIndex,
     GridSpec,
     PoiIndex,
     QuadkeyVocab,
@@ -225,7 +224,7 @@ class TestNonFiniteCoordinates:
         with pytest.raises(ValueError, match="finite"):
             GeographyEncoder(coords, 8, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="finite"):
-            GridIndex(coords[1:])
+            PoiIndex(coords[1:])
         with pytest.raises(ValueError, match="finite"):
             latlon_to_quadkey(np.nan, 0.0)
 

@@ -175,7 +175,7 @@ class TestNegativeSamplers:
         target = 1
         negs = sampler.sample(np.array([target]))
         assert negs.shape == (1, 5)
-        pool = set(sampler.pools[target])
+        pool = set(sampler.pool_for(target))
         assert set(negs.reshape(-1)) <= pool
         assert target not in set(negs.reshape(-1))
 

@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the slate/geo/relation serving caches")
+                   help="disable the slate/relation serving caches")
     p.add_argument("--quantized", action="store_true",
                    help="serve from an int8/float16 quantized copy of "
                         "the model (inference-only)")

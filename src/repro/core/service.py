@@ -17,11 +17,10 @@ Two serving paths share every piece of query preparation:
   equivalence suite in ``tests/test_service_batching.py`` enforces it).
 
 A :class:`~repro.core.cache.ServingCaches` bundle (on by default)
-memoizes candidate slates, per-POI geography encodings and
-per-sequence relation matrices; ``check_in`` invalidates the user's
-session-derived entries, and slate keys additionally include the
-session length so a stale slate is unrepresentable even if the cache
-is never invalidated.
+memoizes candidate slates and per-sequence relation matrices;
+``check_in`` invalidates the user's session-derived entries, and slate
+keys additionally include the session length so a stale slate is
+unrepresentable even if the cache is never invalidated.
 
 Both paths are instrumented with :mod:`repro.obs` spans (slate build,
 batch preparation, model forward, ranking) and request/padding-waste
@@ -166,7 +165,7 @@ class RecommendationService:
     caches : a :class:`ServingCaches` bundle to use; a fresh default
         bundle is created when None and ``enable_caches`` is True.
     enable_caches : set False to serve fully uncached (every query
-        recomputes slates, geography encodings and relation matrices).
+        recomputes slates and relation matrices).
     breaker : the circuit breaker guarding the model call; a default
         one (5 consecutive failures to open, 20 requests to half-open)
         is created when None.

@@ -115,12 +115,7 @@ class STiSAN(Module):
         poi_vec = self.poi_embedding(poi_ids)
         if not self.config.use_geo:
             return poi_vec
-        caches = self._active_caches()
-        if caches is not None:
-            geo_vec = Tensor(self.geo_encoder.encode_pois_cached(poi_ids, caches.geo))
-        else:
-            geo_vec = self.geo_encoder(poi_ids)
-        return concatenate([poi_vec, geo_vec], axis=-1)
+        return concatenate([poi_vec, self.geo_encoder(poi_ids)], axis=-1)
 
     # ------------------------------------------------------------------
     # Encoder

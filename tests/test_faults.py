@@ -139,7 +139,7 @@ class TestCacheSite:
         assert plan.counts().get(("cache", "evict")) == 1
 
     def test_corrupt_float_value_gets_nan(self):
-        cache = LRUCache(8, name="geo")
+        cache = LRUCache(8, name="relations")
         cache.put("key", np.ones(6, dtype=np.float32))
         with fault_injection(seed=0, cache_corrupt_rate=1.0) as plan:
             value = cache.get("key")

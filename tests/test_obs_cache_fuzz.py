@@ -5,7 +5,7 @@ are driven against two oracles:
 
 - a **twin service** (identical weights, caches disabled) — every
   recommendation from the cached service must match it exactly, so a
-  stale slate/relation/geo entry can never be served;
+  stale slate/relation entry can never be served;
 - an **independent replay simulator** of the slate cache (a ~40-line
   LRU with owner tags, written here, sharing no code with
   ``repro.core.cache``) — the real cache's hit/miss/eviction/
@@ -147,8 +147,7 @@ def run_interleaving(seed, dataset, cached, plain, replay):
 def test_fuzzed_interleavings_never_serve_stale_and_counters_reconcile(
     micro_dataset, seed
 ):
-    caches = ServingCaches(slate_size=SLATE_SIZE, geo_size=64,
-                           relation_size=RELATION_SIZE)
+    caches = ServingCaches(slate_size=SLATE_SIZE, relation_size=RELATION_SIZE)
     cached = RecommendationService(
         make_model(micro_dataset), micro_dataset, max_len=MAX_LEN,
         num_candidates=NUM_CANDIDATES, caches=caches,
@@ -180,7 +179,7 @@ def test_fuzzed_interleavings_never_serve_stale_and_counters_reconcile(
 
     # --- obs reconciliation: the global registry mirrored every event
     # CacheStats saw, for every cache in the bundle.
-    for cache in (caches.slates, caches.geo, caches.relations):
+    for cache in (caches.slates, caches.relations):
         for kind, metric in cache._OBS_COUNTERS.items():
             recorded = REGISTRY.value(metric, {"cache": cache.name}) or 0.0
             assert recorded == getattr(cache.stats, kind), (
@@ -191,8 +190,7 @@ def test_fuzzed_interleavings_never_serve_stale_and_counters_reconcile(
 def test_counters_still_reconcile_when_obs_flips_mid_run(micro_dataset):
     """Toggling observability mid-interleaving must never desync the
     registry deltas from the CacheStats deltas within enabled windows."""
-    caches = ServingCaches(slate_size=SLATE_SIZE, geo_size=64,
-                           relation_size=RELATION_SIZE)
+    caches = ServingCaches(slate_size=SLATE_SIZE, relation_size=RELATION_SIZE)
     service = RecommendationService(
         make_model(micro_dataset), micro_dataset, max_len=MAX_LEN,
         num_candidates=NUM_CANDIDATES, caches=caches,
@@ -204,7 +202,7 @@ def test_counters_still_reconcile_when_obs_flips_mid_run(micro_dataset):
         return {
             (c.name, kind): (REGISTRY.value(metric, {"cache": c.name}) or 0.0,
                              getattr(c.stats, kind))
-            for c in (caches.slates, caches.geo, caches.relations)
+            for c in (caches.slates, caches.relations)
             for kind, metric in c._OBS_COUNTERS.items()
         }
 

@@ -84,16 +84,21 @@ class TestLRUCache:
             LRUCache(maxsize=0)
 
     def test_serving_caches_bundle(self):
-        caches = ServingCaches(slate_size=2, geo_size=2, relation_size=2)
+        caches = ServingCaches(slate_size=2, relation_size=2)
         caches.slates.put("s", 1, owner=7)
         caches.relations.put("r", 2, owner=7)
-        caches.geo.put(3, "vec")
+        caches.slates.put("t", 3, owner=8)
+        caches.relations.put("u", 4)
         assert caches.invalidate_user(7) == 2
-        assert caches.geo.get(3) == "vec"  # static geo entries survive
+        assert caches.slates.get("t") == 3  # other owners' entries survive
+        assert caches.relations.get("u") == 4
         caches.clear()
-        assert len(caches.geo) == 0
-        rates = caches.hit_rates()
-        assert set(rates) == {"slates", "geo", "relations"}
+        assert len(caches.slates) == 0 and len(caches.relations) == 0
+        assert set(caches.hit_rates()) == {"slates", "relations"}
+        stats = caches.stats()
+        assert stats["slates"].hits == 1 and stats["relations"].hits == 1
+        # The benchmark reads a "geo" entry: it stays an idle CacheStats.
+        assert stats["geo"].lookups == 0
 
 
 class TestCheckInInvalidation:

@@ -7,7 +7,9 @@ from repro.core import STiSAN, STiSANConfig, TrainConfig, train_stisan
 from repro.core.geo_encoder import GeographyEncoder
 from repro.data import PAD_POI, partition
 from repro.eval.flops import parameter_counts
+from repro.geo.quadkey import QuadkeyVocab
 from repro.nn import load_checkpoint, save_checkpoint
+from repro.nn.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +29,96 @@ def model_and_data(micro_dataset, small_cfg):
     return model, train, evaluation
 
 
+def gather_every_id_forward(enc, poi_ids):
+    """Reference oracle: the encoder's former forward, which gathers and
+    pools the n-grams of every id, repeats included."""
+    ids = np.asarray(poi_ids).astype(np.int64)
+    grams = enc.gram_ids[ids]                            # (..., G)
+    embedded = enc.gram_embedding(grams)                 # (..., G, dim)
+    if enc.pooling == "attn":
+        flat = embedded.reshape(-1, grams.shape[-1], enc.dim)
+        embedded = enc.attn(flat).reshape(*grams.shape, enc.dim)
+    real = (grams != QuadkeyVocab.PAD).astype(np.float32)
+    counts = np.maximum(real.sum(axis=-1, keepdims=True), 1.0)
+    pooled = (embedded * Tensor(real[..., None])).sum(axis=-2) * Tensor(1.0 / counts)
+    out = enc.project(pooled)
+    pad = ids == 0
+    if pad.any():
+        out = out.masked_fill(pad[..., None], 0.0)
+    return out
+
+
+def oracle_ids(num_pois, rng):
+    """Id arrays of every shape the model feeds the encoder, with
+    padding and repeats."""
+    seq = rng.integers(1, num_pois + 1, size=(4, 7))
+    seq[:, :3] = 0                                       # head padding
+    seq[1] = seq[0]                                      # a repeated row
+    cands = rng.integers(1, num_pois + 1, size=(4, 7, 1 + 5))
+    cands[0, :2] = 0
+    cands[2, 3, :] = cands[2, 3, 0]                      # repeats within a slate
+    return {
+        "seq": seq,
+        "candidates": cands,
+        "scalar": np.array(5),
+        "empty": np.zeros((2, 0), dtype=np.int64),
+    }
+
+
 class TestGeographyEncoder:
+    @pytest.mark.parametrize("pooling", ["mean", "attn"])
+    @pytest.mark.parametrize("case", ["seq", "candidates", "scalar", "empty"])
+    def test_forward_bitwise_equals_gather_every_id(self, micro_dataset, pooling, case):
+        enc = GeographyEncoder(micro_dataset.poi_coords, 8, level=12, ngram=4,
+                               pooling=pooling, rng=np.random.default_rng(1))
+        ids = oracle_ids(micro_dataset.num_pois, np.random.default_rng(2))[case]
+        got = enc(ids).data
+        want = gather_every_id_forward(enc, ids).data
+        assert got.shape == ids.shape + (8,)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("pooling", ["mean", "attn"])
+    def test_gradients_match_gather_every_id(self, micro_dataset, pooling):
+        enc = GeographyEncoder(micro_dataset.poi_coords, 8, level=12, ngram=4,
+                               pooling=pooling, rng=np.random.default_rng(1))
+        ids = oracle_ids(micro_dataset.num_pois, np.random.default_rng(2))["candidates"]
+        upstream = np.random.default_rng(3).standard_normal(ids.shape + (8,)).astype(np.float32)
+        grads = []
+        for forward in (lambda x: enc(x), lambda x: gather_every_id_forward(enc, x)):
+            enc.zero_grad()
+            (forward(ids) * Tensor(upstream)).sum().backward()
+            grads.append({name: p.grad.copy() for name, p in enc.named_parameters()})
+        got, want = grads
+        assert set(got) == set(want)
+        for name in want:
+            # Summing repeats in another order moves float32 rounding; an
+            # entry that cancels to near zero is judged on its tensor's scale.
+            scale = np.abs(want[name]).max()
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-5, atol=1e-5 * scale,
+                                       err_msg=name)
+
+    def test_padding_rows_zero_and_get_no_gradient(self, micro_dataset, rng):
+        enc = GeographyEncoder(micro_dataset.poi_coords, 8, level=12, ngram=4, rng=rng)
+        ids = np.array([[0, 0, 3, 3], [0, 1, 2, 3]])
+        out = enc(ids)
+        assert np.all(out.data[ids == 0] == 0.0)
+        out.sum().backward()
+        assert np.all(enc.gram_embedding.weight.grad[QuadkeyVocab.PAD] == 0.0)
+        # Only padding in: no gradient reaches any parameter.
+        enc.zero_grad()
+        enc(np.zeros((2, 3), dtype=np.int64)).sum().backward()
+        for name, p in enc.named_parameters():
+            assert p.grad is None or not p.grad.any(), name
+
+    @pytest.mark.parametrize("bad", [-1, "P + 1"])
+    def test_out_of_range_id_raises(self, micro_dataset, rng, bad):
+        enc = GeographyEncoder(micro_dataset.poi_coords, 8, level=12, ngram=4, rng=rng)
+        bad = micro_dataset.num_pois + 1 if bad == "P + 1" else bad
+        enc(np.array([micro_dataset.num_pois]))          # the last real POI is fine
+        with pytest.raises(IndexError):
+            enc(np.array([[1, bad]]))
+
     def test_output_shape(self, micro_dataset, rng):
         enc = GeographyEncoder(micro_dataset.poi_coords, 8, level=12, ngram=4, rng=rng)
         out = enc(np.array([[1, 2], [3, 0]]))

@@ -14,7 +14,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.relation import RelationConfig, build_relation_matrix, scaled_relation_bias
+from ..core.relation import (
+    RelationConfig, build_relation_matrix, causal_attend_mask, scaled_relation_bias,
+)
 from ..core.tape import TimeAwarePositionEncoder, VanillaPositionEncoder
 from ..data.types import PAD_POI
 from ..nn.layers import Dropout, Embedding, LayerNorm
@@ -110,10 +112,7 @@ class SASRec(NeuralRecommender):
         e = e.masked_fill(pad[..., None], 0.0)
         e = self.drop(e)
 
-        future = np.triu(np.ones((n, n), dtype=bool), k=1)
-        mask = future[None, :, :] | pad[:, None, :]
-        diag = np.eye(n, dtype=bool)
-        mask = np.where(pad[:, :, None], ~diag[None, :, :], mask)
+        mask = causal_attend_mask(pad)
 
         bias = None
         if self.use_interval_bias:

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.relation import causal_attend_mask
 from ..data.types import PAD_POI, SECONDS_PER_DAY
 from ..geo.haversine import haversine
 from ..nn import functional as F
@@ -116,13 +117,9 @@ class STAN(NeuralRecommender):
 
     def encode(self, src: np.ndarray, times: np.ndarray) -> Tensor:
         src = np.asarray(src, dtype=np.int64)
-        b, n = src.shape
         pad = src == PAD_POI
         e = self.drop(self.embedding(src))
-        future = np.triu(np.ones((n, n), dtype=bool), k=1)
-        mask = future[None, :, :] | pad[:, None, :]
-        diag = np.eye(n, dtype=bool)
-        mask = np.where(pad[:, :, None], ~diag[None, :, :], mask)
+        mask = causal_attend_mask(pad)
         dt_norm, dd_norm = self._normalized_intervals(src, times, pad)
         for block in self.blocks:
             e = block(e, dt_norm, dd_norm, mask)

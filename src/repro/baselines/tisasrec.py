@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.relation import causal_attend_mask
 from ..data.types import PAD_POI
 from ..nn.layers import Dropout, Embedding, LayerNorm
 from ..nn.module import Module, ModuleList
@@ -118,10 +119,7 @@ class TiSASRec(NeuralRecommender):
         )
         e = self.drop(e.masked_fill(pad[..., None], 0.0))
 
-        future = np.triu(np.ones((n, n), dtype=bool), k=1)
-        mask = future[None, :, :] | pad[:, None, :]
-        diag = np.eye(n, dtype=bool)
-        mask = np.where(pad[:, :, None], ~diag[None, :, :], mask)
+        mask = causal_attend_mask(pad)
         buckets = self._interval_buckets(times, pad)
         for block in self.blocks:
             e = block(e, buckets, mask)

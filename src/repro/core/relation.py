@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..data.types import SECONDS_PER_DAY
-from ..geo.haversine import haversine
+from ..geo.haversine import haversine, pairwise_haversine
 from ..obs import REGISTRY
 from ..obs import state as _obs
 
@@ -61,6 +61,12 @@ def build_relation_matrix(
     -------
     (..., n, n) float32, strictly lower-triangular-plus-diagonal; the
     upper triangle is zero (it is masked to −inf downstream anyway).
+
+    Sequences revisit POIs and a batch shares them, so when the U
+    distinct coordinates give fewer pairs than the (..., n, n) grid,
+    the distances are computed once on a (U, U) table and gathered.
+    Every entry goes through the same elementwise operations either
+    way, so both paths give the same bits.
     """
     times = np.asarray(times, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -70,30 +76,39 @@ def build_relation_matrix(
         )
     n = times.shape[-1]
 
-    dt_days = np.abs(times[..., :, None] - times[..., None, :]) / SECONDS_PER_DAY
-    dt_days = np.minimum(dt_days, config.k_t_days)
+    points = np.ascontiguousarray(coords).reshape(-1, 2).view(np.complex128)[:, 0]
+    distinct, inverse = np.unique(points, return_inverse=True)
+    u = distinct.size
+    if u * u < times.size * n:
+        table = pairwise_haversine(distinct.view(np.float64).reshape(u, 2))
+        np.minimum(table, config.k_d_km, out=table)
+        inverse = inverse.reshape(times.shape)
+        dd_km = table.take(inverse[..., :, None] * u + inverse[..., None, :])
+    else:
+        dd_km = haversine(
+            coords[..., :, None, 0], coords[..., :, None, 1],
+            coords[..., None, :, 0], coords[..., None, :, 1],
+        )
+        np.minimum(dd_km, config.k_d_km, out=dd_km)
 
-    dd_km = haversine(
-        coords[..., :, None, 0], coords[..., :, None, 1],
-        coords[..., None, :, 0], coords[..., None, :, 1],
-    )
-    dd_km = np.minimum(dd_km, config.k_d_km)
+    r_hat = times[..., :, None] - times[..., None, :]
+    np.abs(r_hat, out=r_hat)
+    np.divide(r_hat, SECONDS_PER_DAY, out=r_hat)
+    np.minimum(r_hat, config.k_t_days, out=r_hat)
+    np.add(r_hat, dd_km, out=r_hat)
 
-    r_hat = dt_days + dd_km
-
-    valid = np.tril(np.ones((n, n), dtype=bool))
-    valid = np.broadcast_to(valid, r_hat.shape).copy()
+    blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
     if pad_mask is not None:
         pad_mask = np.asarray(pad_mask, dtype=bool)
-        valid &= ~pad_mask[..., :, None]
-        valid &= ~pad_mask[..., None, :]
+        blocked = blocked | pad_mask[..., :, None] | pad_mask[..., None, :]
+    blocked = np.broadcast_to(blocked, r_hat.shape)
 
-    r_hat_masked = np.where(valid, r_hat, -np.inf)
-    r_max = r_hat_masked.max(axis=(-1, -2), keepdims=True)
-    r_max = np.where(np.isfinite(r_max), r_max, 0.0)
-
-    relation = np.where(valid, r_max - r_hat, 0.0)
-    return relation.astype(np.float32)
+    r_max = np.where(blocked, -np.inf, r_hat).max(axis=(-1, -2), keepdims=True)
+    r_max[~np.isfinite(r_max)] = 0.0
+    relation = np.empty(r_hat.shape, dtype=np.float32)
+    np.subtract(r_max, r_hat, out=relation, casting="same_kind")
+    np.copyto(relation, 0.0, where=blocked)
+    return relation
 
 
 def relation_row_key(
@@ -129,11 +144,13 @@ def build_relation_matrix_cached(
     """Batched relation matrices with a per-sequence LRU cache.
 
     Each row of the ``(b, n)`` batch is keyed by :func:`relation_row_key`
-    and looked up in ``cache`` (an ``LRUCache``); misses are computed via
-    :func:`build_relation_matrix` on the single row, which is bitwise
-    identical to the batched computation (all ops are elementwise or
-    per-row reductions).  ``owners`` optionally tags row ``i``'s entry so
-    a user's check-in can invalidate it.
+    and looked up in ``cache`` (an ``LRUCache``).  The missed rows are
+    computed together in one :func:`build_relation_matrix` call, which
+    is bitwise identical to computing each alone (every entry is
+    elementwise in its inputs and ``r̂_max`` is per row).  A row whose
+    key repeats an earlier miss of the same batch is looked up again
+    once the misses are stored.  ``owners`` optionally tags row ``i``'s
+    entry so a user's check-in can invalidate it.
     """
     times = np.asarray(times, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -141,26 +158,56 @@ def build_relation_matrix_cached(
         raise ValueError(f"expected a (b, n) batch, got times shape {times.shape}")
     if owners is not None and len(owners) != times.shape[0]:
         owners = None  # a mismatched tag list is ignored, never misapplied
-    rows = []
-    computed = 0
-    for i in range(times.shape[0]):
-        pad_row = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[i]
-        key = relation_row_key(times[i], coords[i], config, pad_row)
-        matrix = cache.get(key)
-        if matrix is None:
-            matrix = build_relation_matrix(
-                times[i : i + 1],
-                coords[i : i + 1],
-                config=config,
-                pad_mask=None if pad_row is None else pad_row[None, :],
-            )[0]
-            cache.put(key, matrix, owner=None if owners is None else owners[i])
+    pads = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)
+    keys = [
+        relation_row_key(times[i], coords[i], config, None if pads is None else pads[i])
+        for i in range(times.shape[0])
+    ]
+    rows = [None] * len(keys)
+    missed = {}  # key -> the first row that missed it
+    repeats = []
+    for i, key in enumerate(keys):
+        if key in missed:
+            repeats.append(i)
+        else:
+            rows[i] = cache.get(key)
+            if rows[i] is None:
+                missed[key] = i
+    computed = len(missed)
+    if missed:
+        index = list(missed.values())
+        fresh = build_relation_matrix(
+            times[index], coords[index], config=config,
+            pad_mask=None if pads is None else pads[index],
+        )
+        for i, matrix in zip(index, fresh):
+            # A copy, so an entry does not keep the whole batch alive.
+            rows[i] = matrix.copy()
+            cache.put(keys[i], rows[i], owner=None if owners is None else owners[i])
+    for i in repeats:
+        rows[i] = cache.get(keys[i])
+        if rows[i] is None:
+            rows[i] = rows[missed[keys[i]]]
+            cache.put(keys[i], rows[i], owner=None if owners is None else owners[i])
             computed += 1
-        rows.append(matrix)
     if _obs._enabled:
         REGISTRY.counter("repro_relation_rows_total").inc(times.shape[0])
         REGISTRY.counter("repro_relation_rows_computed_total").inc(computed)
     return np.stack(rows)
+
+
+def causal_attend_mask(pad: np.ndarray) -> np.ndarray:
+    """(b, n, n) bool attention mask for (b, n) padding flags: True
+    blocks future positions and padding keys.
+
+    A fully-blocked row would make softmax degenerate, so padding query
+    rows attend themselves (their outputs are masked anyway).
+    """
+    n = pad.shape[-1]
+    future = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask = future[None, :, :] | pad[:, None, :]
+    diag = np.eye(n, dtype=bool)
+    return np.where(pad[:, :, None], ~diag[None, :, :], mask)
 
 
 def scaled_relation_bias(
@@ -177,13 +224,16 @@ def scaled_relation_bias(
     every visible attention logit is a no-op — "actually disabling the
     IAAB", exactly as the paper observes.
     """
-    relation = np.asarray(relation, dtype=np.float64)
     blocked = np.asarray(attend_mask, dtype=bool)
-    scores = np.where(blocked, -np.inf, relation)
-    row_max = scores.max(axis=-1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)  # fully-blocked rows
-    ex = np.exp(scores - row_max)
-    ex = np.where(blocked, 0.0, ex)
+    ex = np.array(relation, dtype=np.float64)
+    np.copyto(ex, -np.inf, where=blocked)
+    row_max = ex.max(axis=-1, keepdims=True)
+    row_max[~np.isfinite(row_max)] = 0.0  # fully-blocked rows
+    np.subtract(ex, row_max, out=ex)
+    np.exp(ex, out=ex)
+    np.copyto(ex, 0.0, where=blocked)
     denom = ex.sum(axis=-1, keepdims=True)
-    bias = np.where(denom > 0, ex / np.maximum(denom, 1e-12), 0.0)
-    return bias.astype(np.float32)
+    bias = np.empty(ex.shape, dtype=np.float32)
+    np.divide(ex, np.maximum(denom, 1e-12), out=bias, casting="same_kind")
+    np.copyto(bias, 0.0, where=~(denom > 0))
+    return bias

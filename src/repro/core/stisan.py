@@ -31,7 +31,9 @@ from .cache import ServingCaches
 from .config import STiSANConfig
 from .geo_encoder import GeographyEncoder
 from .iaab import IntervalAwareAttentionBlock
-from .relation import build_relation_matrix, build_relation_matrix_cached, scaled_relation_bias
+from .relation import (
+    build_relation_matrix, build_relation_matrix_cached, causal_attend_mask, scaled_relation_bias,
+)
 from .taad import TargetAwareAttentionDecoder, preference_scores, step_causal_mask
 from .tape import TimeAwarePositionEncoder, VanillaPositionEncoder
 
@@ -141,7 +143,6 @@ class STiSAN(Module):
         src = np.asarray(src, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         pad = src == PAD_POI                                  # (b, n)
-        n = src.shape[1]
 
         # Sinusoidal codes (TAPE or vanilla PE) have unit-scale
         # components; rescale the small-init embeddings before adding
@@ -153,7 +154,7 @@ class STiSAN(Module):
             e = e.masked_fill(pad[..., None], 0.0)
             e = self.embed_dropout(e)
 
-        attend_mask = self._attend_mask(pad, n)
+        attend_mask = causal_attend_mask(pad)
         relation_bias = None
         if self.config.use_relation:
             with span("model.relation_build"):
@@ -183,17 +184,6 @@ class STiSAN(Module):
         if return_weights:
             return e, weights_per_block
         return e
-
-    @staticmethod
-    def _attend_mask(pad: np.ndarray, n: int) -> np.ndarray:
-        """(b, n, n) bool: block future positions and padding keys."""
-        future = np.triu(np.ones((n, n), dtype=bool), k=1)
-        mask = future[None, :, :] | pad[:, None, :]
-        # A fully-blocked row would make softmax degenerate; let padding
-        # query rows attend themselves (their outputs are masked anyway).
-        diag = np.eye(n, dtype=bool)
-        mask = np.where(pad[:, :, None], ~diag[None, :, :], mask)
-        return mask
 
     # ------------------------------------------------------------------
     # Training forward

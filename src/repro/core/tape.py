@@ -23,21 +23,33 @@ from typing import Optional
 import numpy as np
 
 
-def sinusoid_table(positions: np.ndarray, dim: int) -> np.ndarray:
+def sinusoid_table(
+    positions: np.ndarray, dim: int, pad_mask: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Sinusoidal transform of arbitrary (possibly fractional) positions.
 
     ``positions``: (..., n) float array -> (..., n, dim) float32 codes,
     PE(pos, 2i) = sin(pos / 10000^{2i/d}), PE(pos, 2i+1) = cos(...).
+    Codes at padding positions (``pad_mask`` True) are zero; only the
+    other positions are transformed.
     """
     if dim % 2 != 0:
         raise ValueError(f"encoding dim must be even, got {dim}")
     positions = np.asarray(positions, dtype=np.float64)
+    shape = positions.shape + (dim,)
+    if pad_mask is not None:
+        keep = ~np.broadcast_to(np.asarray(pad_mask, dtype=bool), positions.shape)
+        positions = positions[keep]
     div_term = np.exp(np.arange(0, dim, 2, dtype=np.float64) * -(np.log(10000.0) / dim))
     angles = positions[..., None] * div_term          # (..., n, dim/2)
     out = np.empty(positions.shape + (dim,), dtype=np.float32)
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
-    return out
+    if pad_mask is None:
+        return out
+    codes = np.zeros(shape, dtype=np.float32)
+    codes[keep] = out
+    return codes
 
 
 def time_aware_positions(
@@ -100,10 +112,7 @@ class TimeAwarePositionEncoder:
         leak signal into the zero-vector padding embeddings.
         """
         pos = time_aware_positions(times, pad_mask=pad_mask)
-        codes = sinusoid_table(pos, self.dim)
-        if pad_mask is not None:
-            codes = np.where(pad_mask[..., None], 0.0, codes).astype(np.float32)
-        return codes
+        return sinusoid_table(pos, self.dim, pad_mask)
 
 
 class VanillaPositionEncoder:
@@ -124,7 +133,4 @@ class VanillaPositionEncoder:
         pos = np.broadcast_to(
             np.arange(1, n + 1, dtype=np.float64), times.shape
         )
-        codes = sinusoid_table(pos, self.dim)
-        if pad_mask is not None:
-            codes = np.where(pad_mask[..., None], 0.0, codes).astype(np.float32)
-        return codes
+        return sinusoid_table(pos, self.dim, pad_mask)

@@ -29,8 +29,9 @@ def pairwise_haversine(coords_a: np.ndarray, coords_b: np.ndarray | None = None)
     """
     coords_a = np.asarray(coords_a, dtype=np.float64)
     coords_b = coords_a if coords_b is None else np.asarray(coords_b, dtype=np.float64)
-    if coords_a.ndim != 2 or coords_a.shape[1] != 2:
-        raise ValueError(f"expected (n, 2) coords, got {coords_a.shape}")
+    for coords in (coords_a, coords_b):
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"expected (n, 2) coords, got {coords.shape}")
     return haversine(
         coords_a[:, None, 0], coords_a[:, None, 1],
         coords_b[None, :, 0], coords_b[None, :, 1],

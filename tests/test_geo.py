@@ -66,6 +66,12 @@ class TestHaversine:
         with pytest.raises(ValueError):
             pairwise_haversine(np.zeros((3,)))
 
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((4,)), np.zeros((1, 2, 2))])
+    def test_pairwise_validates_second_operand(self, bad):
+        good = np.array([[43.0, 125.0], [44.0, 126.0]])
+        with pytest.raises(ValueError, match=r"expected \(n, 2\) coords"):
+            pairwise_haversine(good, bad)
+
 
 class TestQuadkey:
     def test_length_equals_level(self):

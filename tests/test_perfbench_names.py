@@ -64,3 +64,37 @@ def test_cache_hit_fracs_reads_every_cache(perfbench, service, micro_dataset):
     assert set(fracs) == {f"core.cache.{name}.hit_frac" for name in ("slates", "relations", "geo")}
     assert all(0.0 <= v <= 1.0 for v in fracs.values())
     assert fracs["core.cache.geo.hit_frac"] == 0.0
+
+
+def test_relation_layer_records_every_entry_path(perfbench, service, micro_dataset):
+    """``core.relation.build`` is timed on the training forward, on plain
+    scoring and on a cached serving call that misses, so the traced
+    layer cannot silently read 0 when the relation build moves."""
+    workloads, harness = perfbench
+    model = STiSAN(micro_dataset.num_pois, micro_dataset.poi_coords, service.model.config,
+                   rng=np.random.default_rng(1))
+    rng = np.random.default_rng(0)
+    src = rng.integers(1, micro_dataset.num_pois, size=(2, 8))
+    src[0, :3] = 0
+    times = np.sort(rng.uniform(0, 1e6, size=(2, 8)), axis=-1)
+
+    def forward_train():
+        model.train()
+        model.forward_train(src, times, src, src[..., None])
+
+    def score_candidates():
+        model.eval()
+        model.score_candidates(src, times, src[:, :4])
+
+    def recommend_batch_miss():
+        service.caches.clear()
+        service.recommend_batch(micro_dataset.users()[:2], k=5)
+
+    for call in (forward_train, score_candidates, recommend_batch_miss):
+        timer = harness.LayerTimer()
+        patcher = harness.instrument(workloads.COMMON_TARGETS, timer)
+        try:
+            call()
+        finally:
+            patcher.restore()
+        assert timer.calls["core.relation.build"] >= 1, call.__name__

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.iaab import IntervalAwareAttentionBlock, IntervalAwareAttentionLayer
-from repro.core.relation import RelationConfig, build_relation_matrix, scaled_relation_bias
+from repro.core.relation import (
+    RelationConfig, build_relation_matrix, causal_attend_mask, scaled_relation_bias,
+)
 from repro.core.taad import TargetAwareAttentionDecoder, preference_scores, step_causal_mask
 from repro.data.types import SECONDS_PER_DAY
 from repro.nn.tensor import Tensor
@@ -156,6 +158,38 @@ class TestIAAB:
 
         expected = F.softmax(Tensor(bias).masked_fill(mask, -1e9), axis=-1).data
         np.testing.assert_allclose(w, expected, atol=1e-6)
+
+    @pytest.mark.parametrize("relation, disabled", [
+        (RelationConfig(0.0, 0.0), True),
+        (RelationConfig(), False),
+    ])
+    def test_zero_thresholds_disable_the_block_fig9(self, relation, disabled):
+        """Fig. 9: with k_t = k_d = 0 a block with the relation equals the
+        same block without it; with the default thresholds it differs."""
+        b, n, d = 3, 7, 8
+        rng = np.random.default_rng(5)
+        times = np.sort(rng.uniform(0, 30 * SECONDS_PER_DAY, size=(b, n)), axis=-1)
+        coords = np.stack(
+            [rng.uniform(43.0, 44.0, size=(b, n)), rng.uniform(125.0, 126.0, size=(b, n))],
+            axis=-1,
+        )
+        pad = np.zeros((b, n), dtype=bool)
+        pad[1, :3] = True
+        mask = causal_attend_mask(pad)
+        bias = scaled_relation_bias(build_relation_matrix(times, coords, relation, pad), mask)
+        x = Tensor(rng.normal(size=(b, n, d)).astype(np.float32))
+        outputs = []
+        for use_relation in (True, False):
+            block = IntervalAwareAttentionBlock(
+                d, 16, use_relation=use_relation, rng=np.random.default_rng(0)
+            )
+            block.eval()
+            outputs.append(block(x, bias, mask).data[~pad])
+        with_relation, without = outputs
+        if disabled:
+            np.testing.assert_allclose(with_relation, without, atol=1e-6, rtol=0)
+        else:
+            assert np.abs(with_relation - without).max() > 1e-4
 
     def test_cannot_disable_both(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,10 @@ Pipeline
    target-aware preference vectors.
 5. **Matching** (III-G): inner-product scores, ranked for Top-K.
 
+Inference scores only the live columns: rows are grouped by
+:func:`live_cut` and each group runs steps 1–4 on its columns from the
+cut on (see ``DESIGN.md``, "Inference on live columns").
+
 Every ablation variant of Table IV is reachable through
 :class:`repro.core.config.STiSANConfig` switches.
 """
@@ -25,7 +29,7 @@ import numpy as np
 from ..data.types import PAD_POI
 from ..nn.layers import Dropout, Embedding, LayerNorm
 from ..nn.module import Module, ModuleList
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import Tensor, concatenate, is_grad_enabled
 from ..obs import span
 from .cache import ServingCaches
 from .config import STiSANConfig
@@ -36,6 +40,21 @@ from .relation import (
 )
 from .taad import TargetAwareAttentionDecoder, preference_scores, step_causal_mask
 from .tape import TimeAwarePositionEncoder, VanillaPositionEncoder
+
+
+def live_cut(pad: np.ndarray) -> np.ndarray:
+    """(b,) first column each row's inference forward must keep.
+
+    It is the row's first non-padding column rounded down to a multiple
+    of 8 (0 for a row that is all padding).  Every column before it is
+    head padding, which no real position attends and whose outputs are
+    zeroed, so dropping it leaves the live columns' outputs unchanged.
+    The 8-alignment keeps every live column in the same lane of numpy's
+    8-lane pairwise sums over the key axis, so the softmax denominators
+    stay bitwise.
+    """
+    first = np.argmin(pad, axis=-1)
+    return first - first % 8
 
 
 class STiSAN(Module):
@@ -134,22 +153,59 @@ class STiSAN(Module):
         ----------
         src : (b, n) POI ids with head padding.
         times : (b, n) unix-second timestamps.
-        return_weights : also return each block's attention map.
+        return_weights : also return each block's full (b, n, n)
+            attention maps.
 
         Returns
         -------
         (b, n, d) encoder outputs (plus the attention maps if asked).
+        Where :meth:`_row_cuts` allows it, the stack runs from the
+        batch's smallest :func:`live_cut` on and the dropped head-padding
+        columns come back as zero rows.
         """
         src = np.asarray(src, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         pad = src == PAD_POI                                  # (b, n)
+        cuts = self._row_cuts(pad)
+        cut = 0 if return_weights or not cuts.size else int(cuts.min())
+        out = self._encode_live(src, times, pad, cut, return_weights)
+        if cut == 0:
+            return out
+        head = np.zeros((src.shape[0], cut, self.config.dim), dtype=np.float32)
+        return concatenate([Tensor(head), out], axis=1)
+
+    def _row_cuts(self, pad: np.ndarray) -> np.ndarray:
+        """Per-row :func:`live_cut`, or zeros when the forward must run
+        the full width: in training (dropout draws its masks at the
+        batch's shape) and with serving caches attached (the relation
+        LRU keys whole rows)."""
+        if (self.training and is_grad_enabled()) or self.serving_caches is not None:
+            return np.zeros(pad.shape[0], dtype=np.int64)
+        return live_cut(pad)
+
+    def _encode_live(
+        self,
+        src: np.ndarray,
+        times: np.ndarray,
+        pad: np.ndarray,
+        cut: int,
+        return_weights: bool = False,
+    ) -> Tensor | Tuple[Tensor, List[np.ndarray]]:
+        """The encoder on columns ``cut:`` -> (b, n - cut, d).
+
+        Position codes count the head padding (Eq. 2 and vanilla PE are
+        absolute), so they come from the full-width window and are then
+        sliced, never recomputed on the trimmed one.
+        """
+        codes = self.position_encoder(times, pad_mask=pad)[:, cut:]
+        src, times, pad = src[:, cut:], times[:, cut:], pad[:, cut:]
 
         # Sinusoidal codes (TAPE or vanilla PE) have unit-scale
         # components; rescale the small-init embeddings before adding
         # them (the usual Transformer ×sqrt(d) trick).
         with span("model.embed"):
             e = self.embed(src) * np.float32(np.sqrt(self.config.dim))
-            e = e + Tensor(self.position_encoder(times, pad_mask=pad))
+            e = e + Tensor(codes)
             # Padding rows stay exactly zero.
             e = e.masked_fill(pad[..., None], 0.0)
             e = self.embed_dropout(e)
@@ -230,19 +286,38 @@ class STiSAN(Module):
         """Preference scores over explicit candidate slates.
 
         ``candidates``: (b, c) POI ids; returns (b, c) float scores for
-        the *next* check-in after the full source sequence.
+        the *next* check-in after the full source sequence.  Rows are
+        grouped by :func:`live_cut`; each group runs the encoder and
+        TAAD on its columns from the cut on.
         """
         src = np.asarray(src, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
         candidates = np.asarray(candidates, dtype=np.int64)
-        enc = self.encode(src, times)                          # (b, n, d)
-        cand = self.embed(candidates)                          # (b, c, d)
-        if self.config.use_taad:
-            pad_keys = (src == PAD_POI)[:, None, None, :]      # (b, 1, 1, n)
-            s = self.decoder(cand, enc, attend_mask=pad_keys)  # (b, c, d)
-        else:
-            last = enc[:, -1:, :]                              # (b, 1, d)
-            s = last
-        return preference_scores(s, cand).data
+        if src.ndim != 2 or times.shape != src.shape:
+            raise ValueError(
+                f"src and times must share one (b, n) shape, got {src.shape} and {times.shape}"
+            )
+        if candidates.ndim != 2 or len(candidates) != len(src):
+            raise ValueError(
+                f"candidates must be (b, c) with b = {len(src)} rows, got {candidates.shape}"
+            )
+        pad = src == PAD_POI
+        cuts = self._row_cuts(pad)
+        cand_all = self.embed(candidates)                      # (b, c, d)
+        scores = np.empty(candidates.shape, dtype=np.float32)
+        groups = np.unique(cuts)
+        for cut in groups:
+            # One group (always so with serving caches) takes views, not copies.
+            rows = np.flatnonzero(cuts == cut) if len(groups) > 1 else slice(None)
+            enc = self._encode_live(src[rows], times[rows], pad[rows], int(cut))
+            cand = cand_all[rows]                              # (g, c, d)
+            if self.config.use_taad:
+                pad_keys = pad[rows, cut:][:, None, None, :]  # (g, 1, 1, n - cut)
+                s = self.decoder(cand, enc, attend_mask=pad_keys)
+            else:
+                s = enc[:, -1:, :]                             # (g, 1, d)
+            scores[rows] = preference_scores(s, cand).data
+        return scores
 
     def recommend(
         self,

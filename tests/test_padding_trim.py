@@ -1,0 +1,291 @@
+"""Inference on live columns against the untrimmed forward.
+
+``score_candidates`` groups its rows by ``live_cut`` and runs each group
+on its columns from the cut on; ``encode`` trims the whole batch by its
+smallest cut and pads the output back.  The oracle is the same model
+with ``live_cut`` patched to return 0, which runs every row at full
+width.  Scores must agree within 1e-6 (OpenBLAS may pick a different
+sgemm kernel for a narrow ``QK^T``) and every ranking must be
+identical.  Training, ``return_weights`` and cached serving never trim,
+so they must stay bitwise.
+"""
+
+from contextlib import contextmanager
+from functools import lru_cache
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.stisan as stisan_module
+from repro.core import STiSAN, STiSANConfig
+from repro.core.cache import ServingCaches
+from repro.core.relation import causal_attend_mask
+from repro.core.stisan import live_cut
+from repro.data.sequences import partition
+from repro.eval.metrics import target_ranks
+from repro.eval.protocol import evaluate
+from repro.nn import fused
+from repro.nn.tensor import Tensor, no_grad
+
+NUM_POIS = 60
+TOL = 1e-6
+
+ABLATIONS = {
+    "original": {},
+    "vanilla_pe": {"use_tape": False},
+    "no_relation": {"use_relation": False},
+    "no_attention": {"use_attention": False},
+    "no_taad": {"use_taad": False},
+    "no_geo": {"use_geo": False},
+    "two_heads": {"num_heads": 2},
+}
+
+
+@contextmanager
+def untrimmed():
+    """The oracle: every row keeps all of its columns."""
+    with mock.patch.object(
+        stisan_module, "live_cut", lambda pad: np.zeros(len(pad), dtype=np.int64)
+    ):
+        yield
+
+
+def poi_coords(num_pois=NUM_POIS, seed=0):
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform([40.6, -74.1], [40.9, -73.8], size=(num_pois + 1, 2))
+    coords[0] = 0.0
+    return coords
+
+
+@lru_cache(maxsize=None)
+def make_model(n, ablation="original", dropout=0.2):
+    cfg = STiSANConfig.small(
+        max_len=n, poi_dim=8, geo_dim=8, num_blocks=2, ffn_hidden=16, dropout=dropout,
+        **ABLATIONS[ablation],
+    )
+    model = STiSAN(NUM_POIS, poi_coords(), cfg, rng=np.random.default_rng(3))
+    model.eval()
+    return model
+
+
+def make_batch(live, n, num_candidates=12, seed=0):
+    """Rows with ``live[i]`` check-ins at the tail of an n-wide window."""
+    rng = np.random.default_rng(seed)
+    b = len(live)
+    src = rng.integers(1, NUM_POIS + 1, size=(b, n))
+    times = np.sort(rng.uniform(1.6e9, 1.6e9 + 9e6, size=(b, n)), axis=-1)
+    for i, length in enumerate(live):
+        src[i, :n - length] = 0
+        if length:
+            times[i, :n - length] = times[i, n - length]
+    candidates = rng.integers(1, NUM_POIS + 1, size=(b, num_candidates))
+    return src, times, candidates
+
+
+def assert_matches_oracle(model, src, times, candidates):
+    with no_grad():
+        trimmed = model.score_candidates(src, times, candidates)
+        with untrimmed():
+            oracle = model.score_candidates(src, times, candidates)
+    assert trimmed.shape == oracle.shape == candidates.shape
+    assert trimmed.dtype == oracle.dtype
+    np.testing.assert_allclose(trimmed, oracle, rtol=0, atol=TOL)
+    np.testing.assert_array_equal(target_ranks(trimmed), target_ranks(oracle))
+
+
+# ----------------------------------------------------------------------
+# The cut rule
+# ----------------------------------------------------------------------
+def test_live_cut_rounds_the_first_live_column_down_to_8():
+    n = 37
+    live = [37, 30, 29, 21, 20, 1, 0]
+    src, _, _ = make_batch(live, n)
+    # First live columns 0, 7, 8, 16, 17, 36; an all-padding row keeps 0.
+    np.testing.assert_array_equal(live_cut(src == 0), [0, 0, 8, 16, 16, 32, 0])
+
+
+def test_live_cut_keeps_attention_weights_bitwise():
+    """With a one-wide head every score is a single product, so the
+    weights differ only through the softmax's pairwise sums; cutting at
+    a multiple of 8 keeps those in the same lanes."""
+    n = 100
+    live = [1, 7, 9, 23, 30, 41, 58, 64, 77, 93, 99]
+    src, _, _ = make_batch(live, n)
+    pad = src == 0
+    rng = np.random.default_rng(1)
+    q, k, v = (rng.normal(size=(len(live), n, 1)).astype(np.float32) for _ in range(3))
+    _, full = fused.fused_causal_attention(
+        Tensor(q), Tensor(k), Tensor(v), mask=causal_attend_mask(pad), return_weights=True
+    )
+    for i, cut in enumerate(live_cut(pad)):
+        rows = slice(i, i + 1)
+        _, trimmed = fused.fused_causal_attention(
+            Tensor(q[rows, cut:]), Tensor(k[rows, cut:]), Tensor(v[rows, cut:]),
+            mask=causal_attend_mask(pad[rows, cut:]), return_weights=True,
+        )
+        np.testing.assert_array_equal(trimmed[0], full[i, cut:, cut:])
+
+
+# ----------------------------------------------------------------------
+# Scores and rankings against the oracle
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([8, 10, 24, 37]),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_random_head_padding_matches_oracle(n, fractions, seed):
+    live = [max(1, round(f * n)) for f in fractions]
+    assert_matches_oracle(make_model(n), *make_batch(live, n, seed=seed))
+
+
+@pytest.mark.parametrize(
+    "live",
+    [[0, 5, 37], [1, 20, 37], [1], [0], [37]],
+    ids=["all-padding", "one-check-in", "b=1-one", "b=1-empty", "b=1-full"],
+)
+def test_edge_rows_match_oracle(live):
+    assert_matches_oracle(make_model(37), *make_batch(live, 37))
+
+
+@pytest.mark.parametrize("n", [10, 37])
+def test_width_not_a_multiple_of_8(n):
+    live = list(range(1, n + 1))
+    assert_matches_oracle(make_model(n), *make_batch(live, n, seed=n))
+
+
+def test_live_widths_on_both_sides_of_32():
+    n = 64
+    live = [3, 12, 24, 28, 31, 32, 33, 40, 47, 56, 64]
+    assert_matches_oracle(make_model(n), *make_batch(live, n, seed=4))
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_every_ablation_matches_oracle(ablation):
+    n = 37
+    live = [1, 4, 9, 15, 22, 30, 37, 0]
+    assert_matches_oracle(make_model(n, ablation), *make_batch(live, n, seed=5))
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+@pytest.mark.parametrize("n", [10, 37])
+def test_evaluate_reports_match_oracle(micro_dataset, ablation, n):
+    _, evaluation = partition(micro_dataset, n)
+    cfg = STiSANConfig.small(max_len=n, poi_dim=8, geo_dim=8, num_blocks=2, ffn_hidden=16,
+                             **ABLATIONS[ablation])
+    model = STiSAN(micro_dataset.num_pois, micro_dataset.poi_coords, cfg,
+                   rng=np.random.default_rng(0))
+    model.eval()
+    report = evaluate(model, micro_dataset, evaluation, num_candidates=20, batch_size=8)
+    with untrimmed():
+        oracle = evaluate(model, micro_dataset, evaluation, num_candidates=20, batch_size=8)
+    assert report == oracle
+
+
+# ----------------------------------------------------------------------
+# encode and return_weights
+# ----------------------------------------------------------------------
+def test_encode_keeps_its_shape_and_zero_padding_rows():
+    n = 37
+    live = [20, 9, 12]  # cuts 16, 24 and 24
+    src, times, _ = make_batch(live, n)
+    model = make_model(n)
+    with no_grad():
+        enc = model.encode(src, times)
+        with untrimmed():
+            oracle = model.encode(src, times)
+    assert enc.shape == (3, n, model.config.dim)
+    pad = src == 0
+    assert np.all(enc.data[pad] == 0.0)
+    np.testing.assert_allclose(enc.data, oracle.data, rtol=0, atol=TOL)
+
+
+def test_return_weights_is_untrimmed_and_bitwise():
+    n = 37
+    live = [3, 20, 9]
+    src, times, _ = make_batch(live, n)
+    model = make_model(n)
+    with no_grad():
+        enc, weights = model.encode(src, times, return_weights=True)
+        with untrimmed():
+            oracle, oracle_weights = model.encode(src, times, return_weights=True)
+    assert enc.shape == (3, n, model.config.dim)
+    np.testing.assert_array_equal(enc.data, oracle.data)
+    assert len(weights) == len(oracle_weights) == model.config.num_blocks
+    for w, o in zip(weights, oracle_weights):
+        assert w.shape == (3, n, n)
+        np.testing.assert_array_equal(w, o)
+
+
+# ----------------------------------------------------------------------
+# Training and cached serving stay bitwise
+# ----------------------------------------------------------------------
+def test_training_forward_is_bitwise_and_keeps_the_dropout_stream():
+    n = 37
+    cfg = STiSANConfig.small(max_len=n, poi_dim=8, geo_dim=8, num_blocks=2, ffn_hidden=16,
+                             dropout=0.3)
+    model = STiSAN(NUM_POIS, poi_coords(), cfg, rng=np.random.default_rng(4))
+    model.train()
+    src, times, _ = make_batch([3, 12, 20, 25], n, seed=6)  # smallest cut 8
+    rng = np.random.default_rng(7)
+    targets = rng.integers(1, NUM_POIS + 1, size=src.shape)
+    negatives = rng.integers(1, NUM_POIS + 1, size=src.shape + (3,))
+    generator = model.embed_dropout.rng.bit_generator
+    start = generator.state
+
+    pos, neg = model.forward_train(src, times, targets, negatives)
+    after = generator.state
+    generator.state = start
+    with untrimmed():
+        oracle_pos, oracle_neg = model.forward_train(src, times, targets, negatives)
+    assert generator.state == after
+    np.testing.assert_array_equal(pos.data, oracle_pos.data)
+    np.testing.assert_array_equal(neg.data, oracle_neg.data)
+
+
+def test_cached_serving_is_bitwise_and_caches_full_rows():
+    n = 37
+    model = make_model(n)
+    src, times, candidates = make_batch([2, 9, 17, 30, 37], n, seed=8)
+    caches = ServingCaches()
+    model.use_serving_caches(caches)
+    try:
+        with no_grad():
+            cold = model.score_candidates(src, times, candidates)
+            warm = model.score_candidates(src, times, candidates)
+            with untrimmed():
+                oracle = model.score_candidates(src, times, candidates)
+    finally:
+        model.use_serving_caches(None)
+    np.testing.assert_array_equal(cold, oracle)
+    np.testing.assert_array_equal(warm, oracle)
+    entries = list(caches.relations._data.values())
+    assert len(entries) == len(src)
+    assert all(entry.shape == (n, n) for entry in entries)
+
+
+# ----------------------------------------------------------------------
+# Batch-shape validation
+# ----------------------------------------------------------------------
+def test_score_candidates_rejects_mismatched_rows():
+    n = 10
+    model = make_model(n)
+    src, times, candidates = make_batch([3, 5, 10], n)
+    with pytest.raises(ValueError, match="candidates"):
+        model.score_candidates(src, times, candidates[:2])
+    with pytest.raises(ValueError, match="times"):
+        model.score_candidates(src, times[:2], candidates)
+
+
+def test_score_candidates_rejects_mismatched_times():
+    n = 10
+    model = make_model(n)
+    src, times, candidates = make_batch([3, 5, 10], n)
+    with pytest.raises(ValueError, match="times"):
+        model.score_candidates(src, times[:, 1:], candidates)
+    with pytest.raises(ValueError, match="times"):
+        model.score_candidates(src, times.reshape(-1), candidates)

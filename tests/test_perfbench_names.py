@@ -98,3 +98,34 @@ def test_relation_layer_records_every_entry_path(perfbench, service, micro_datas
         finally:
             patcher.restore()
         assert timer.calls["core.relation.build"] >= 1, call.__name__
+
+
+def test_grouped_scoring_times_every_entry_point(perfbench, micro_dataset):
+    """Inference groups rows by their live columns; each group must still
+    go through the wrapped entry points, so the traced layers keep
+    reading what the forward did."""
+    workloads, harness = perfbench
+    cfg = STiSANConfig.small(max_len=24, poi_dim=8, geo_dim=8, num_blocks=2, dropout=0.0)
+    model = STiSAN(micro_dataset.num_pois, micro_dataset.poi_coords, cfg,
+                   rng=np.random.default_rng(2))
+    model.eval()
+    rng = np.random.default_rng(0)
+    src = rng.integers(1, micro_dataset.num_pois + 1, size=(3, 24))
+    src[0, :21] = 0   # live_cut 16
+    src[1, :14] = 0   # live_cut 8
+    times = np.sort(rng.uniform(0, 1e6, size=(3, 24)), axis=-1)
+    candidates = rng.integers(1, micro_dataset.num_pois + 1, size=(3, 5))
+    groups = 3
+
+    timer = harness.LayerTimer()
+    patcher = harness.instrument(workloads.COMMON_TARGETS + workloads.model_targets(model), timer)
+    try:
+        model.score_candidates(src, times, candidates)
+    finally:
+        patcher.restore()
+    assert timer.calls["core.stisan.score"] == 1
+    assert timer.calls["core.iaab.forward"] == groups * cfg.num_blocks
+    assert timer.calls["core.taad.forward"] == groups
+    assert timer.calls["core.relation.build"] == groups
+    # The source embedding of every group and one candidate embedding.
+    assert timer.calls["core.geo_encoder.forward"] == groups + 1

@@ -69,6 +69,7 @@ class IntervalAwareAttentionLayer(Module):
         relation_bias: Optional[np.ndarray],
         attend_mask: np.ndarray,
         return_weights: bool = False,
+        cut: int = 0,
     ) -> Tensor | Tuple[Tensor, np.ndarray]:
         """
         Parameters
@@ -79,9 +80,11 @@ class IntervalAwareAttentionLayer(Module):
         attend_mask : (..., n, n) bool, True = blocked (future/padding).
         return_weights : additionally return the attention map for the
             interpretability figures.
+        cut : ``x`` is columns ``cut:`` of a (b, cut + n, d) batch; dropout
+            draws its mask at that full width and slices it.
         """
         if self.num_heads > 1 and self.use_attention:
-            return self._forward_multihead(x, relation_bias, attend_mask, return_weights)
+            return self._forward_multihead(x, relation_bias, attend_mask, return_weights, cut)
         v = self.w_v(x)
         if self.use_attention:
             q, k = self.w_q(x), self.w_k(x)
@@ -92,15 +95,15 @@ class IntervalAwareAttentionLayer(Module):
             )
             if return_weights:
                 out, weights_arr = result
-                return self.drop(out), weights_arr
-            return self.drop(result)
+                return self.drop(out, cut=cut), weights_arr
+            return self.drop(result, cut=cut)
         # Ablation "Remove SA": A = Softmax(R) V — Eq. (16).
         if relation_bias is None:
             raise ValueError("relation_bias required when attention is disabled")
         scores = Tensor(np.broadcast_to(relation_bias, relation_bias.shape).copy())
         scores = scores.masked_fill(attend_mask, NEG_INF)
         weights = F.softmax(scores, axis=-1)
-        out = self.drop(weights @ v)
+        out = self.drop(weights @ v, cut=cut)
         if return_weights:
             return out, weights.data.copy()
         return out
@@ -111,6 +114,7 @@ class IntervalAwareAttentionLayer(Module):
         relation_bias: Optional[np.ndarray],
         attend_mask: np.ndarray,
         return_weights: bool,
+        cut: int,
     ):
         """Multi-head extension: the relation bias is shared across heads."""
         single = x.ndim == 2
@@ -136,7 +140,7 @@ class IntervalAwareAttentionLayer(Module):
         if return_weights:
             result, weights_arr = result
             head_mean = weights_arr.mean(axis=1)
-        out = self.drop(result.transpose(0, 2, 1, 3).reshape(b, n, self.dim))
+        out = self.drop(result.transpose(0, 2, 1, 3).reshape(b, n, self.dim), cut=cut)
         if single:
             out = out.reshape(n, self.dim)
             if head_mean is not None:
@@ -179,15 +183,18 @@ class IntervalAwareAttentionBlock(Module):
         relation_bias: Optional[np.ndarray],
         attend_mask: np.ndarray,
         return_weights: bool = False,
+        cut: int = 0,
     ) -> Tensor | Tuple[Tensor, np.ndarray]:
+        """``cut``: ``x`` is columns ``cut:`` of a wider batch; both
+        dropouts draw at the full width (see the attention layer)."""
         if return_weights:
             attn_out, weights = self.attn(
-                self.attn_norm(x), relation_bias, attend_mask, return_weights=True
+                self.attn_norm(x), relation_bias, attend_mask, return_weights=True, cut=cut
             )
         else:
-            attn_out = self.attn(self.attn_norm(x), relation_bias, attend_mask)
+            attn_out = self.attn(self.attn_norm(x), relation_bias, attend_mask, cut=cut)
         x = x + attn_out
-        x = x + self.ffn(self.ffn_norm(x))
+        x = x + self.ffn(self.ffn_norm(x), cut=cut)
         if return_weights:
             return x, weights
         return x

@@ -12,9 +12,12 @@ Pipeline
    target-aware preference vectors.
 5. **Matching** (III-G): inner-product scores, ranked for Top-K.
 
-Inference scores only the live columns: rows are grouped by
+Only the live columns are run.  Inference groups rows by
 :func:`live_cut` and each group runs steps 1–4 on its columns from the
-cut on (see ``DESIGN.md``, "Inference on live columns").
+cut on.  A training step runs the whole batch from its smallest cut;
+dropout draws its masks at the full width and slices them, so the RNG
+stream is unchanged (see ``DESIGN.md``, "Running only the live
+columns").
 
 Every ablation variant of Table IV is reachable through
 :class:`repro.core.config.STiSANConfig` switches.
@@ -29,7 +32,7 @@ import numpy as np
 from ..data.types import PAD_POI
 from ..nn.layers import Dropout, Embedding, LayerNorm
 from ..nn.module import Module, ModuleList
-from ..nn.tensor import Tensor, concatenate, is_grad_enabled
+from ..nn.tensor import Tensor, concatenate
 from ..obs import span
 from .cache import ServingCaches
 from .config import STiSANConfig
@@ -43,7 +46,7 @@ from .tape import TimeAwarePositionEncoder, VanillaPositionEncoder
 
 
 def live_cut(pad: np.ndarray) -> np.ndarray:
-    """(b,) first column each row's inference forward must keep.
+    """(b,) first column each row's forward must keep.
 
     It is the row's first non-padding column rounded down to a multiple
     of 8 (0 for a row that is all padding).  Every column before it is
@@ -55,6 +58,14 @@ def live_cut(pad: np.ndarray) -> np.ndarray:
     """
     first = np.argmin(pad, axis=-1)
     return first - first % 8
+
+
+def _pad_head(t: Tensor, cut: int) -> Tensor:
+    """(b, w, ...) -> (b, cut + w, ...) with zeros in the first ``cut`` columns."""
+    if cut == 0:
+        return t
+    head = np.zeros((t.shape[0], cut, *t.shape[2:]), dtype=t.data.dtype)
+    return concatenate([Tensor(head), t], axis=1)
 
 
 class STiSAN(Module):
@@ -166,22 +177,24 @@ class STiSAN(Module):
         src = np.asarray(src, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         pad = src == PAD_POI                                  # (b, n)
-        cuts = self._row_cuts(pad)
-        cut = 0 if return_weights or not cuts.size else int(cuts.min())
-        out = self._encode_live(src, times, pad, cut, return_weights)
-        if cut == 0:
-            return out
-        head = np.zeros((src.shape[0], cut, self.config.dim), dtype=np.float32)
-        return concatenate([Tensor(head), out], axis=1)
+        if return_weights:
+            return self._encode_live(src, times, pad, 0, return_weights=True)
+        cut = self._batch_cut(pad)
+        return _pad_head(self._encode_live(src, times, pad, cut), cut)
 
     def _row_cuts(self, pad: np.ndarray) -> np.ndarray:
-        """Per-row :func:`live_cut`, or zeros when the forward must run
-        the full width: in training (dropout draws its masks at the
-        batch's shape) and with serving caches attached (the relation
-        LRU keys whole rows)."""
-        if (self.training and is_grad_enabled()) or self.serving_caches is not None:
+        """Per-row :func:`live_cut`, or zeros while serving caches are
+        active: the relation LRU keys whole rows, so cached serving runs
+        the full width."""
+        if self._active_caches() is not None:
             return np.zeros(pad.shape[0], dtype=np.int64)
         return live_cut(pad)
+
+    def _batch_cut(self, pad: np.ndarray) -> int:
+        """The smallest of :meth:`_row_cuts`: the first column every row
+        of the batch must keep."""
+        cuts = self._row_cuts(pad)
+        return int(cuts.min()) if cuts.size else 0
 
     def _encode_live(
         self,
@@ -195,7 +208,9 @@ class STiSAN(Module):
 
         Position codes count the head padding (Eq. 2 and vanilla PE are
         absolute), so they come from the full-width window and are then
-        sliced, never recomputed on the trimmed one.
+        sliced, never recomputed on the trimmed one.  Every dropout gets
+        ``cut`` and draws its mask at the full width, so a trimmed
+        training step consumes the same random numbers as a full one.
         """
         codes = self.position_encoder(times, pad_mask=pad)[:, cut:]
         src, times, pad = src[:, cut:], times[:, cut:], pad[:, cut:]
@@ -208,7 +223,7 @@ class STiSAN(Module):
             e = e + Tensor(codes)
             # Padding rows stay exactly zero.
             e = e.masked_fill(pad[..., None], 0.0)
-            e = self.embed_dropout(e)
+            e = self.embed_dropout(e, cut=cut)
 
         attend_mask = causal_attend_mask(pad)
         relation_bias = None
@@ -231,10 +246,10 @@ class STiSAN(Module):
         with span("model.attention"):
             for block in self.blocks:
                 if return_weights:
-                    e, w = block(e, relation_bias, attend_mask, return_weights=True)
+                    e, w = block(e, relation_bias, attend_mask, return_weights=True, cut=cut)
                     weights_per_block.append(w)
                 else:
-                    e = block(e, relation_bias, attend_mask)
+                    e = block(e, relation_bias, attend_mask, cut=cut)
         e = self.final_norm(e)
         e = e.masked_fill(pad[..., None], 0.0)
         if return_weights:
@@ -253,25 +268,46 @@ class STiSAN(Module):
     ) -> Tuple[Tensor, Tensor]:
         """Score the true target and its negatives at every step.
 
-        Returns (pos_scores (b, n), neg_scores (b, n, L)).
+        Returns (pos_scores (b, n), neg_scores (b, n, L)).  The step runs
+        on the columns from the batch's smallest :func:`live_cut` on; the
+        columns before it are head padding in every row, so their
+        targets are padding too and their scores come back as zeros,
+        which the loss masks.
         """
         src = np.asarray(src, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.int64)
         negatives = np.asarray(negatives, dtype=np.int64)
+        if src.ndim != 2 or times.shape != src.shape or targets.shape != src.shape:
+            raise ValueError(
+                "src, times and targets must share one (b, n) shape, got "
+                f"{src.shape}, {times.shape} and {targets.shape}"
+            )
+        if negatives.ndim != 3 or negatives.shape[:2] != src.shape:
+            raise ValueError(
+                f"negatives must be (b, n, L) with (b, n) = {src.shape}, got {negatives.shape}"
+            )
+        pad = src == PAD_POI                                   # (b, n)
+        if np.any(pad & (targets != PAD_POI)):
+            # TAAD would attend no key for such a step (a uniform
+            # softmax over every step, future ones included).
+            raise ValueError("targets must be padding wherever src is padding")
         b, n = src.shape
-        enc = self.encode(src, times)                         # (b, n, d)
+        cut = self._batch_cut(pad)
+        w = n - cut
+        enc = self._encode_live(src, times, pad, cut)          # (b, w, d)
 
-        cand_ids = np.concatenate([targets[..., None], negatives], axis=-1)  # (b, n, 1+L)
-        cand = self.embed(cand_ids)                            # (b, n, 1+L, d)
+        cand_ids = np.concatenate([targets[:, cut:, None], negatives[:, cut:]], axis=-1)
+        cand = self.embed(cand_ids)                            # (b, w, 1+L, d)
 
         if self.config.use_taad:
-            pad_keys = (src == PAD_POI)[:, None, None, :]      # (b, 1, 1, n)
-            mask = step_causal_mask(n, n)[None, ...] | pad_keys
-            s = self.decoder(cand, enc, attend_mask=mask)      # (b, n, 1+L, d)
+            pad_keys = pad[:, None, None, cut:]                # (b, 1, 1, w)
+            mask = step_causal_mask(w, w)[None, ...] | pad_keys
+            s = self.decoder(cand, enc, attend_mask=mask)      # (b, w, 1+L, d)
         else:
             # Ablation "Remove TAAD": match encoder output directly (Eq. 17).
-            s = enc.reshape(b, n, 1, enc.shape[-1])
-        scores = preference_scores(s, cand)                    # (b, n, 1+L)
+            s = enc.reshape(b, w, 1, enc.shape[-1])
+        scores = _pad_head(preference_scores(s, cand), cut)    # (b, n, 1+L)
         return scores[..., 0], scores[..., 1:]
 
     # ------------------------------------------------------------------

@@ -98,8 +98,15 @@ def dropout(
     rate: float,
     rng: Optional[np.random.Generator] = None,
     training: bool = True,
+    cut: int = 0,
 ) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-rate)."""
+    """Inverted dropout: scales kept activations by 1/(1-rate).
+
+    ``cut > 0`` says ``x`` (b, w, ...) holds columns ``cut:`` of a
+    (b, cut + w, ...) tensor.  The mask is drawn at that full shape and
+    sliced, so the generator advances exactly as the full-width draw
+    would and every kept column gets the same mask.
+    """
     if not training or rate <= 0.0 or not is_grad_enabled():
         return x
     if rate >= 1.0:
@@ -107,7 +114,14 @@ def dropout(
     if rng is None:
         rng = np.random.default_rng()
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(np.float32) / keep
+    shape, columns = x.shape, ()
+    if cut:
+        shape = (shape[0], cut + shape[1], *shape[2:])
+        columns = (slice(None), slice(cut, None))
+    # One expression, so the float64 draw and the boolean mask are freed
+    # as soon as they are used: holding their megabytes through the
+    # multiply cost thousands of page faults per training step.
+    mask = (rng.random(shape)[columns] < keep).astype(np.float32) / keep
     return x * Tensor(mask)
 
 

@@ -102,8 +102,10 @@ class Dropout(Module):
         self.rate = rate
         self.rng = rng or np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, rng=self.rng, training=self.training)
+    def forward(self, x: Tensor, cut: int = 0) -> Tensor:
+        """``cut``: ``x`` is columns ``cut:`` of a wider batch (see
+        :func:`repro.nn.functional.dropout`)."""
+        return F.dropout(x, self.rate, rng=self.rng, training=self.training, cut=cut)
 
 
 class ReLU(Module):
@@ -134,5 +136,5 @@ class PositionwiseFeedForward(Module):
         self.w2 = Linear(hidden_dim, dim, rng=rng)
         self.drop = Dropout(dropout, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.w2(self.drop(self.w1(x).relu()))
+    def forward(self, x: Tensor, cut: int = 0) -> Tensor:
+        return self.w2(self.drop(self.w1(x).relu(), cut=cut))

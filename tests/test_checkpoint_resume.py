@@ -32,9 +32,9 @@ def training_setup(micro_dataset):
     return micro_dataset, train, config
 
 
-def fresh_model(dataset, dropout=0.1):
+def fresh_model(dataset, dropout=0.1, max_len=MAX_LEN):
     cfg = STiSANConfig.small(
-        max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=1, dropout=dropout
+        max_len=max_len, poi_dim=8, geo_dim=8, num_blocks=1, dropout=dropout
     )
     return STiSAN(dataset.num_pois, dataset.poi_coords, cfg,
                   rng=np.random.default_rng(5))
@@ -64,6 +64,25 @@ class TestKillAndResume:
                                checkpoint_dir=tmp_path, checkpoint_every=1,
                                resume=True)
         assert resumed.resumed_from_step == crash_step
+        assert resumed.epoch_losses == result.epoch_losses
+        assert_params_equal(baseline.state_dict(), resumed_model.state_dict())
+
+    def test_bitwise_identical_after_crash_on_trimmed_steps(self, trimmed_setup, tmp_path):
+        dataset, train, config = trimmed_setup
+        max_len = len(train[0].src_pois)
+        baseline = fresh_model(dataset, max_len=max_len)
+        result = train_stisan(baseline, dataset, train, config)
+
+        with pytest.raises(SimulatedCrash):
+            with fault_injection(seed=0, crash_at_step=2):
+                train_stisan(fresh_model(dataset, max_len=max_len), dataset, train,
+                             config, checkpoint_dir=tmp_path, checkpoint_every=1)
+
+        resumed_model = fresh_model(dataset, max_len=max_len)
+        resumed = train_stisan(resumed_model, dataset, train, config,
+                               checkpoint_dir=tmp_path, checkpoint_every=1,
+                               resume=True)
+        assert resumed.resumed_from_step == 2
         assert resumed.epoch_losses == result.epoch_losses
         assert_params_equal(baseline.state_dict(), resumed_model.state_dict())
 

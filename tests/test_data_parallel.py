@@ -76,9 +76,9 @@ def training_setup(micro_dataset):
     return micro_dataset, train, config
 
 
-def fresh_model(dataset, dropout=0.1):
+def fresh_model(dataset, dropout=0.1, max_len=MAX_LEN):
     cfg = STiSANConfig.small(
-        max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=1, dropout=dropout
+        max_len=max_len, poi_dim=8, geo_dim=8, num_blocks=1, dropout=dropout
     )
     return STiSAN(dataset.num_pois, dataset.poi_coords, cfg,
                   rng=np.random.default_rng(5))
@@ -94,7 +94,7 @@ def assert_params_equal(a, b, equal_nan=False):
 
 def run_parallel(dataset, train, config, workers, **kwargs):
     """One full training run; returns (model, result, trainer)."""
-    model = fresh_model(dataset)
+    model = fresh_model(dataset, max_len=len(train[0].src_pois))
     trainer = DataParallelTrainer(
         model, dataset, train, config, workers=workers, **kwargs
     )
@@ -252,6 +252,11 @@ class TestBitwiseAcrossWorkerCounts:
 
     def test_workers_1_2_4_bitwise_identical(self, training_setup):
         dataset, train, config = training_setup
+        self._sweep(dataset, train, config)
+
+    def test_workers_1_2_4_bitwise_on_trimmed_steps(self, trimmed_setup):
+        """Each logical shard runs from its own rows' smallest cut."""
+        dataset, train, config = trimmed_setup
         self._sweep(dataset, train, config)
 
     def test_ragged_last_batch(self, training_setup):

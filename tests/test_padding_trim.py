@@ -1,16 +1,19 @@
-"""Inference on live columns against the untrimmed forward.
+"""Running only the live columns, against the untrimmed forward.
 
 ``score_candidates`` groups its rows by ``live_cut`` and runs each group
-on its columns from the cut on; ``encode`` trims the whole batch by its
-smallest cut and pads the output back.  The oracle is the same model
-with ``live_cut`` patched to return 0, which runs every row at full
-width.  Scores must agree within 1e-6 (OpenBLAS may pick a different
-sgemm kernel for a narrow ``QK^T``) and every ranking must be
-identical.  Training, ``return_weights`` and cached serving never trim,
-so they must stay bitwise.
+on its columns from the cut on; ``encode`` and ``forward_train`` trim
+the whole batch by its smallest cut and pad the output back.  The
+oracle is the same model with ``live_cut`` patched to return 0, which
+runs every row at full width.  Scores must agree within 1e-6 (OpenBLAS
+may pick a different sgemm kernel for a narrow ``QK^T``) and every
+ranking must be identical.  A training step must also leave the dropout
+generators where the untrimmed step leaves them; its gradients agree
+within 1e-5 of each parameter's largest gradient, because the
+weight-gradient sums run over fewer rows.  ``return_weights`` and
+cached serving never trim, so they must stay bitwise.
 """
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from unittest import mock
 
@@ -22,11 +25,13 @@ from hypothesis import strategies as st
 import repro.core.stisan as stisan_module
 from repro.core import STiSAN, STiSANConfig
 from repro.core.cache import ServingCaches
+from repro.core.loss import weighted_bce_loss
 from repro.core.relation import causal_attend_mask
 from repro.core.stisan import live_cut
 from repro.data.sequences import partition
 from repro.eval.metrics import target_ranks
 from repro.eval.protocol import evaluate
+from repro.nn import functional as F
 from repro.nn import fused
 from repro.nn.tensor import Tensor, no_grad
 
@@ -222,31 +227,109 @@ def test_return_weights_is_untrimmed_and_bitwise():
 
 
 # ----------------------------------------------------------------------
-# Training and cached serving stay bitwise
+# Training runs from the batch's smallest cut
 # ----------------------------------------------------------------------
-def test_training_forward_is_bitwise_and_keeps_the_dropout_stream():
-    n = 37
+def training_model(n, ablation="original"):
     cfg = STiSANConfig.small(max_len=n, poi_dim=8, geo_dim=8, num_blocks=2, ffn_hidden=16,
-                             dropout=0.3)
+                             dropout=0.3, **ABLATIONS[ablation])
     model = STiSAN(NUM_POIS, poi_coords(), cfg, rng=np.random.default_rng(4))
     model.train()
-    src, times, _ = make_batch([3, 12, 20, 25], n, seed=6)  # smallest cut 8
-    rng = np.random.default_rng(7)
-    targets = rng.integers(1, NUM_POIS + 1, size=src.shape)
-    negatives = rng.integers(1, NUM_POIS + 1, size=src.shape + (3,))
-    generator = model.embed_dropout.rng.bit_generator
-    start = generator.state
+    return model
 
+
+def training_batch(n, live=(3, 12, 20, 25), num_negatives=3, seed=6):
+    """A batch with targets wherever ``src`` is real (the data layout);
+    the default rows have cuts 32, 24, 16 and 8."""
+    src, times, _ = make_batch(list(live), n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    targets = np.where(src == 0, 0, rng.integers(1, NUM_POIS + 1, size=src.shape))
+    negatives = rng.integers(1, NUM_POIS + 1, size=src.shape + (num_negatives,))
+    return src, times, targets, negatives
+
+
+def dropout_generators(model):
+    """Every distinct generator the model's dropouts draw from."""
+    drops = [model.embed_dropout]
+    for block in model.blocks:
+        drops += [block.attn.drop, block.ffn.drop]
+    return list({id(d.rng): d.rng for d in drops}.values())
+
+
+def train_step(model, src, times, targets, negatives):
+    """One forward + backward -> (pos, neg, loss, grads, generator states)."""
+    model.zero_grad()
     pos, neg = model.forward_train(src, times, targets, negatives)
-    after = generator.state
-    generator.state = start
+    loss = weighted_bce_loss(pos, neg, targets != 0)
+    loss.backward()
+    grads = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+    states = [g.bit_generator.state for g in dropout_generators(model)]
+    return pos.data, neg.data, float(loss.data), grads, states
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_training_step_matches_oracle_and_keeps_the_dropout_stream(ablation):
+    """Live-column scores and the loss match the untrimmed step, the
+    dropout generators end where the untrimmed step leaves them, and
+    the gradients agree up to the rounding of shorter weight-gradient
+    sums."""
+    n = 37
+    model = training_model(n, ablation)
+    batch = training_batch(n)
+    start = [g.bit_generator.state for g in dropout_generators(model)]
+    pos, neg, loss, grads, states = train_step(model, *batch)
+    for generator, state in zip(dropout_generators(model), start):
+        generator.bit_generator.state = state
     with untrimmed():
-        oracle_pos, oracle_neg = model.forward_train(src, times, targets, negatives)
-    assert generator.state == after
-    np.testing.assert_array_equal(pos.data, oracle_pos.data)
-    np.testing.assert_array_equal(neg.data, oracle_neg.data)
+        oracle_pos, oracle_neg, oracle_loss, oracle_grads, oracle_states = train_step(
+            model, *batch
+        )
+
+    assert states == oracle_states
+    src, _, targets, negatives = batch
+    assert pos.shape == src.shape and neg.shape == negatives.shape
+    live = targets != 0
+    np.testing.assert_array_equal(pos[:, :8], 0.0)
+    np.testing.assert_array_equal(neg[:, :8], 0.0)
+    np.testing.assert_allclose(pos[live], oracle_pos[live], rtol=0, atol=TOL)
+    np.testing.assert_allclose(neg[live], oracle_neg[live], rtol=0, atol=TOL)
+    assert abs(loss - oracle_loss) <= TOL
+    for grad, oracle in zip(grads, oracle_grads):
+        if oracle is None:
+            assert grad is None
+            continue
+        np.testing.assert_allclose(grad, oracle, rtol=0, atol=1e-5 * np.abs(oracle).max())
 
 
+def test_training_step_runs_the_blocks_on_the_live_width():
+    n = 37
+    model = training_model(n)
+    with ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(block, "forward", wraps=block.forward))
+            for block in model.blocks
+        ]
+        model.forward_train(*training_batch(n))  # smallest cut 8
+    for spy in spies:
+        spy.assert_called_once()
+        x = spy.call_args.args[0]
+        assert x.shape[1] == n - 8
+        assert spy.call_args.kwargs["cut"] == 8
+
+
+@pytest.mark.parametrize("shape", [(3, 37, 5), (2, 20, 4, 3)])
+@pytest.mark.parametrize("cut", [0, 8, 16])
+def test_dropout_draws_at_full_width_and_slices(shape, cut):
+    x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+    full_rng, cut_rng = np.random.default_rng(9), np.random.default_rng(9)
+    full = F.dropout(Tensor(x), 0.4, rng=full_rng)
+    trimmed = F.dropout(Tensor(x[:, cut:]), 0.4, rng=cut_rng, cut=cut)
+    np.testing.assert_array_equal(trimmed.data, full.data[:, cut:])
+    assert cut_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Cached serving stays bitwise
+# ----------------------------------------------------------------------
 def test_cached_serving_is_bitwise_and_caches_full_rows():
     n = 37
     model = make_model(n)
@@ -269,7 +352,7 @@ def test_cached_serving_is_bitwise_and_caches_full_rows():
 
 
 # ----------------------------------------------------------------------
-# Batch-shape validation
+# Batch validation
 # ----------------------------------------------------------------------
 def test_score_candidates_rejects_mismatched_rows():
     n = 10
@@ -289,3 +372,37 @@ def test_score_candidates_rejects_mismatched_times():
         model.score_candidates(src, times[:, 1:], candidates)
     with pytest.raises(ValueError, match="times"):
         model.score_candidates(src, times.reshape(-1), candidates)
+
+
+def test_forward_train_rejects_mismatched_steps():
+    n = 10
+    model = training_model(n)
+    src, times, targets, negatives = training_batch(n, live=(3, 5, 10))
+    for bad in (
+        (src[:, 1:], times, targets, negatives),
+        (src, times[:2], targets, negatives),
+        (src, times, targets[:, 1:], negatives),
+        (src.reshape(-1), times, targets, negatives),
+    ):
+        with pytest.raises(ValueError, match="src, times and targets"):
+            model.forward_train(*bad)
+
+
+def test_forward_train_rejects_misshapen_negatives():
+    n = 10
+    model = training_model(n)
+    src, times, targets, negatives = training_batch(n, live=(3, 5, 10))
+    for bad in (negatives[..., 0], negatives[:, 1:], negatives[:2]):
+        with pytest.raises(ValueError, match="negatives"):
+            model.forward_train(src, times, targets, bad)
+
+
+def test_forward_train_rejects_a_target_at_a_padding_step():
+    """TAAD's query at a padding step attends no key, so its softmax
+    would go uniform over every step, future ones included."""
+    n = 10
+    model = training_model(n)
+    src, times, targets, negatives = training_batch(n, live=(3, 5, 10))
+    targets[0, 0] = 1
+    with pytest.raises(ValueError, match="padding"):
+        model.forward_train(src, times, targets, negatives)

@@ -186,7 +186,7 @@ def run_scale_profile() -> dict:
     t0 = time.perf_counter()
     warm = sampler.sample(targets)
     warm_s = time.perf_counter() - t0
-    stats = sampler._pool_cache.stats
+    stats = index.pools.stats
     report["streaming_sampler"] = {
         "is_streaming": sampler.mode == "streaming",
         "setup_s": setup_s,

@@ -9,10 +9,12 @@ unvisited POIs around the target as negative candidates" and rank the
 target among the 101.
 
 Pools are streamed: :class:`NearestNegativeSampler` builds each pool on
-demand from the shared spatial index, one canonical k-NN query per
-*unique* target in a batch, memoized in a bounded owner-tagged LRU.
-Peak RSS stays flat in the catalogue size, which is what makes
-million-POI catalogues trainable.
+demand from the dataset's shared spatial index, one canonical k-NN
+query per *unique* target in a batch, memoized in the index's bounded
+owner-tagged LRU (:meth:`repro.geo.neighbors.PoiIndex.pool`), so every
+sampler over a dataset reuses the pools earlier ones built.  Peak RSS
+stays flat in the catalogue size, which is what makes million-POI
+catalogues trainable.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class NearestNegativeSampler:
     default ``pool_size`` is clamped to ``num_pois - 1`` so pools are
     exactly full (the historical contract); ``pad_to_pool_size=True``
     keeps the requested width and pads instead.
+
+    Pools live in the dataset's shared index, keyed by the clamped query
+    width, and each sampler pads to its own ``pool_size``.  That cache
+    takes no lock: samplers over one dataset must not run from
+    concurrent threads.  Forked data-parallel workers get copies.
     """
 
     #: Pools are always built per target on demand (see module docstring).
@@ -50,7 +57,6 @@ class NearestNegativeSampler:
         num_negatives: int = 15,
         pool_size: int = 2000,
         rng: Optional[np.random.Generator] = None,
-        cache_size: int = 8192,
         pad_to_pool_size: bool = False,
     ):
         if num_negatives < 1:
@@ -67,26 +73,16 @@ class NearestNegativeSampler:
             self.pool_size = pool_size
         else:
             self.pool_size = min(pool_size, num_pois - 1)
-
-        from ..core.cache import LRUCache  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the core<->data import cycle; runs once per sampler, not per batch
-
-        self._pool_cache = LRUCache(cache_size, name="negative-pools")
+        self._query_width = min(self.pool_size, len(self.index) - 1)
 
     def pool_for(self, target: int) -> np.ndarray:
         """The target's neighbour pool (canonical order, fixed width).
 
-        Answers from the LRU or runs one k-NN query; entries are
-        owner-tagged by target POI so catalogue-slice invalidation can
-        evict exactly the affected pools.  Treat the returned array as
+        Reads the index's shared pool LRU, which runs one k-NN query on
+        a miss, and pads to ``pool_size``.  Treat the returned array as
         immutable.
         """
-        pool = self._pool_cache.get(target)
-        if pool is None:
-            k = min(self.pool_size, len(self.index) - 1)
-            ids, _ = self.index.query_canonical(target, k)
-            pool = pad_pool(ids, self.pool_size)
-            self._pool_cache.put(target, pool, owner=target)
-        return pool
+        return pad_pool(self.index.pool(target, self._query_width), self.pool_size)
 
     def sample(self, targets: np.ndarray) -> np.ndarray:
         """Draw negatives for an array of target POI ids.

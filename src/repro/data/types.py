@@ -123,7 +123,10 @@ class CheckInDataset:
         Training negatives, evaluation candidate retrieval and serving
         slates all search the same static catalogue; routing them
         through this handle means one index build per dataset instead
-        of one per consumer.
+        of one per consumer.  The handle also carries the negative
+        samplers' shared pool LRU, which takes no lock: samplers over
+        one dataset must not run from concurrent threads (forked
+        data-parallel workers get copies).
         """
         from ..geo import grid  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the geo<->data import cycle; consumers hold the returned handle
 

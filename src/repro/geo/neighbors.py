@@ -105,6 +105,9 @@ class PoiIndex:
     offset : first valid POI id (default 1: id 0 is the padding POI).
     """
 
+    #: Entries of the neighbour-pool LRU that :meth:`pool` keeps.
+    POOL_CACHE_SIZE = 8192
+
     def __init__(self, coords: np.ndarray, offset: int = 1):
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -117,6 +120,10 @@ class PoiIndex:
         self.offset = offset
         self._xyz = latlon_to_unit_xyz(coords)
         self._tree = cKDTree(self._xyz)
+
+        from ..core.cache import LRUCache  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the core<->geo import cycle; runs once per index, not per query
+
+        self.pools = LRUCache(self.POOL_CACHE_SIZE, name="negative-pools")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -161,6 +168,25 @@ class PoiIndex:
 
     #: The name the negative sampler's pool builds call.
     query_canonical = query
+
+    def pool(self, poi_id: int, k: int) -> np.ndarray:
+        """The ids of :meth:`query_canonical` ``(poi_id, k)``, memoized.
+
+        A pool is a pure function of the static catalogue, so every
+        consumer of this index shares one bounded LRU keyed by
+        ``(poi_id, k)`` and owner-tagged by ``poi_id``: a training call
+        reuses the pools an earlier call on the same dataset built.
+        The returned array is shared and read-only.  The LRU takes no
+        lock, so callers over one index must not run from concurrent
+        threads (forked workers get their own copy).
+        """
+        key = (poi_id, k)
+        ids = self.pools.get(key)
+        if ids is None:
+            ids, _ = self.query_canonical(poi_id, k)
+            ids.flags.writeable = False
+            self.pools.put(key, ids, owner=poi_id)
+        return ids
 
     def nearest_excluding(
         self,

@@ -109,6 +109,9 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self.decoupled = decoupled
         self.t = 0
+        self._init_moments()
+
+    def _init_moments(self) -> None:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
@@ -170,10 +173,32 @@ class FlatAdam(Adam):
     ``FlatAdam`` registers every parameter into one contiguous float32
     buffer so the whole update is a handful of vectorized numpy ops.
 
-    Because every Adam operation is *elementwise*, running it on the
-    concatenation of all parameters produces bit-identical per-element
-    results — swapping ``Adam`` for ``FlatAdam`` changes nothing about
-    a training run (``tests/test_fused.py`` asserts this).
+    Because every Adam operation is *elementwise*, running it on any
+    subset of the concatenated parameters produces bit-identical
+    per-element results — swapping ``Adam`` for ``FlatAdam`` changes
+    nothing about a training run (``tests/test_fused.py`` asserts this).
+
+    **Only live entries are touched.**  Dense Adam leaves an entry
+    unchanged when its ``m`` and ``v`` are bitwise ``+0.0`` and its
+    gradient is ``±0``: ``β·(+0) + (1-β)·(±0) = +0`` for both moments
+    (``+0 + -0 = +0``), so ``m' = v' = +0``; the update is
+    ``(+0/b1) / (sqrt(+0/b2) + eps) = +0/eps = +0``; and
+    ``p - lr·(+0) = p`` for every ``p``, including ``-0``, ``±inf`` and
+    NaN.  A boolean mask over the flat buffer marks every entry that has
+    ever had a nonzero gradient (or a moment with any bit set, after
+    :meth:`load_state_dict`; a ``-0.0`` moment counts).  Each step ORs
+    in the new gradient's nonzeros and selects the live entries of the
+    parameters that have a gradient.  When they are under a quarter of
+    the buffer (an embedding step over a large catalogue) it gathers
+    them with one ``np.flatnonzero``, runs the unchanged float32
+    expression on them and scatters the result into a copy of the
+    parameter buffer, so the step costs the rows the batch touched, not
+    the catalogue.  Otherwise an index gather would cost more than it
+    saves: when every parameter has a gradient the step runs on the
+    whole buffer as views, and the dead entries come out unchanged by
+    the fixed point above; when one lacks a gradient it indexes with the
+    boolean mask.  A nonzero ``weight_decay`` moves every entry, so it
+    marks every entry live.
 
     Semantics preserved:
 
@@ -187,23 +212,14 @@ class FlatAdam(Adam):
       re-synced from the parameter on the next step.
     - **missing gradients** — ``Adam`` skips parameters whose ``grad``
       is None (moments untouched, value unchanged); the flat step
-      replays that by snapshotting and restoring those segments.
+      simply does not gather their segments.
     - **checkpoints** — ``state_dict``/``load_state_dict`` present the
       exact per-parameter ``{"t", "m", "v"}`` format the checkpoint
       layer serializes, so ``Adam`` and ``FlatAdam`` checkpoints are
       interchangeable.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decoupled: bool = False,
-    ):
-        super().__init__(params, lr, betas, eps, weight_decay, decoupled)
+    def _init_moments(self) -> None:
         for p in self.params:
             if p.data.dtype != np.float32:
                 raise TypeError(
@@ -219,27 +235,18 @@ class FlatAdam(Adam):
         self._flat_m = np.zeros(total, dtype=np.float32)
         self._flat_v = np.zeros(total, dtype=np.float32)
         self._flat_g = np.empty(total, dtype=np.float32)
+        self._live = np.zeros(total, dtype=bool)
         self._views: List[Optional[np.ndarray]] = [None] * len(self.params)
         # Mirror the flat moments into the per-parameter lists the base
         # class exposes (kept as views so reads stay coherent).
-        self._sync_moment_views()
+        self._m = self._segments(self._flat_m)
+        self._v = self._segments(self._flat_v)
 
-    def _sync_moment_views(self) -> None:
-        self._m = [
-            self._flat_m[a:b].reshape(shape)
+    def _segments(self, flat: np.ndarray) -> List[np.ndarray]:
+        return [
+            flat[a:b].reshape(shape)
             for a, b, shape in zip(self._offsets, self._offsets[1:], self._shapes)
         ]
-        self._v = [
-            self._flat_v[a:b].reshape(shape)
-            for a, b, shape in zip(self._offsets, self._offsets[1:], self._shapes)
-        ]
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
-        }
 
     def load_state_dict(self, state: dict) -> None:
         moments_m, moments_v = state["m"], state["v"]
@@ -258,6 +265,9 @@ class FlatAdam(Adam):
         for a, b, m, v in zip(self._offsets, self._offsets[1:], moments_m, moments_v):
             self._flat_m[a:b] = np.asarray(m, dtype=np.float32).ravel()
             self._flat_v[a:b] = np.asarray(v, dtype=np.float32).ravel()
+        # By bit pattern, so a -0.0 moment (which a dense step turns
+        # into +0.0) is live.
+        self._live = (self._flat_m.view(np.uint32) != 0) | (self._flat_v.view(np.uint32) != 0)
 
     # ------------------------------------------------------------------
     # Flat-gradient surface (the data-parallel trainer's contract)
@@ -304,7 +314,7 @@ class FlatAdam(Adam):
         """One Adam step from an externally reduced flat gradient.
 
         Bitwise-identical arithmetic to :meth:`step` — both funnel into
-        the same vectorized update — but the gradient arrives already
+        the same live-entry update — but the gradient arrives already
         flattened (and, in data-parallel training, already all-reduced
         in fixed shard order).  ``missing`` lists parameter indices that
         received no gradient on *any* shard; their values and moments
@@ -341,50 +351,59 @@ class FlatAdam(Adam):
         self._apply_flat(flat_g, missing)
 
     def _apply_flat(self, flat_g: np.ndarray, missing: List[int]) -> None:
-        """The vectorized Adam update over the flat buffers (shared by
-        :meth:`step` and :meth:`step_flat`)."""
-        self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        """The Adam update over the live entries of the flat buffers
+        (shared by :meth:`step` and :meth:`step_flat`)."""
         offsets = self._offsets
-        flat_p = self._flat_p
         for i in missing:
             if not 0 <= i < len(self.params):
                 raise IndexError(f"missing-gradient index {i} out of range")
-        saved = [
-            (i, flat_p[offsets[i]:offsets[i + 1]].copy(),
-             self._flat_m[offsets[i]:offsets[i + 1]].copy(),
-             self._flat_v[offsets[i]:offsets[i + 1]].copy())
-            for i in missing
-        ]
+        self.t += 1
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
 
-        g = flat_g
+        live = self._live
+        if self.weight_decay:
+            live[:] = True
+        else:
+            live |= flat_g != 0
+        sel = live
+        if missing:
+            sel = live.copy()
+            for i in missing:
+                sel[offsets[i]:offsets[i + 1]] = False
+        if 4 * np.count_nonzero(sel) < sel.size:
+            sel = np.flatnonzero(sel)
+        elif not missing:
+            sel = slice(None)  # every entry, as views: the dense step
+
+        p = self._flat_p[sel]
+        g = flat_g[sel]
         if self.weight_decay and not self.decoupled:
-            g = g + self.weight_decay * flat_p
-        m, v = self._flat_m, self._flat_v
+            g = g + self.weight_decay * p
+        m, v = self._flat_m[sel], self._flat_v[sel]
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
         if self.weight_decay and self.decoupled:
-            update = update + self.weight_decay * flat_p
-        new_p = flat_p - self.lr * update
-
-        for i, p_seg, m_seg, v_seg in saved:
-            a, b = offsets[i], offsets[i + 1]
-            new_p[a:b] = p_seg
-            m[a:b] = m_seg
-            v[a:b] = v_seg
+            update = update + self.weight_decay * p
+        stepped = p - self.lr * update
+        if isinstance(sel, slice):
+            new_p = stepped  # the moment views were updated in place
+        else:
+            self._flat_m[sel] = m
+            self._flat_v[sel] = v
+            new_p = self._flat_p.copy()
+            new_p[sel] = stepped
 
         # Adopt the freshly allocated result buffer and hand every
-        # parameter a view into it — zero copies, and ``new_p`` is never
-        # mutated after this point so the views stay valid.
+        # parameter a view into it — ``new_p`` is never mutated after
+        # this point so the views stay valid.
         self._flat_p = new_p
-        for i, (p, shape) in enumerate(zip(self.params, self._shapes)):
-            view = new_p[offsets[i]:offsets[i + 1]].reshape(shape)
-            p.assign_(view)
-            self._views[i] = p.data
+        for i, (param, shape) in enumerate(zip(self.params, self._shapes)):
+            param.assign_(new_p[offsets[i]:offsets[i + 1]].reshape(shape))
+            self._views[i] = param.data
 
 
 def AdamW(params: Iterable[Parameter], lr: float = 1e-3, weight_decay: float = 0.01, **kw) -> Adam:

@@ -375,12 +375,142 @@ def _synthetic_grads(params, rng, missing_index=None):
             p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
 
 
+EMBED_ROWS, HELD_ROWS, FIRST_TOUCH = 200, 100, 5
+
+
+def _make_sparse_params(seed):
+    """An embedding-like ``(EMBED_ROWS, 3)`` table plus dense parameters;
+    the table's held-back rows include a ``-0.0`` and an ``inf``."""
+    rng = np.random.default_rng(seed)
+    shapes = [(EMBED_ROWS, 3), (7,), (2, 3, 4), (5,)]
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    arrays[0][EMBED_ROWS - 1] = [-0.0, np.inf, -0.0]
+    arrays[0][HELD_ROWS + 3, 2] = -0.0
+    return [Parameter(a) for a in arrays]
+
+
+def _sparse_grads(params, step, rng):
+    """Gradients as an embedding step sees them.
+
+    - Table rows ``>= HELD_ROWS`` get ``-0.0`` (even steps) or ``+0.0``
+      (odd steps) until ``FIRST_TOUCH``, then some of them are touched.
+    - Touched rows hold explicit ``-0.0`` and ``+0.0`` entries too.
+    - Parameter 2 has no gradient at steps 3-4; parameter 3 has none
+      before step 6.
+    """
+    zero = -0.0 if step % 2 == 0 else 0.0
+    table = np.full((EMBED_ROWS, 3), zero, dtype=np.float32)
+    high = EMBED_ROWS if step >= FIRST_TOUCH else HELD_ROWS
+    rows = rng.choice(high, size=6, replace=False)
+    table[rows] = rng.standard_normal((6, 3)).astype(np.float32)
+    table[rows[0], 1] = -0.0
+    table[rows[1], 2] = 0.0
+    params[0].grad = table
+    for i, p in enumerate(params[1:], start=1):
+        if (i == 2 and step in (3, 4)) or (i == 3 and step < 6):
+            p.grad = None
+        else:
+            g = rng.standard_normal(p.data.shape).astype(np.float32)
+            g.reshape(-1)[0] = -0.0
+            p.grad = g
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _assert_bitwise(ref_opt, flat_opt, where):
+    """Parameters and both moments equal bit for bit: ``-0.0`` is not
+    ``+0.0`` here, unlike ``np.array_equal``."""
+    pairs = [("param", [p.data for p in ref_opt.params], [p.data for p in flat_opt.params]),
+             ("m", ref_opt._m, flat_opt._m), ("v", ref_opt._v, flat_opt._v)]
+    for what, ref, flat in pairs:
+        for i, (r, f) in enumerate(zip(ref, flat)):
+            np.testing.assert_array_equal(
+                _bits(f), _bits(r), err_msg=f"{what} {i} diverged {where}"
+            )
+
+
+def _flat_step(opt, via):
+    if via == "step":
+        opt.step()
+        return
+    flat = np.empty(opt.flat_size, dtype=np.float32)
+    touched = np.zeros(len(opt.params), dtype=np.uint8)
+    opt.write_flat_grads(flat, touched=touched)
+    opt.step_flat(flat, missing=np.flatnonzero(touched == 0))
+
+
+@np.errstate(invalid="ignore")  # weight decay spreads the ``inf`` entry's NaNs
+def _run_sparse_pair(ref_opt, flat_opt, steps, via, seed=0, on_step=None):
+    for step in range(steps):
+        _sparse_grads(ref_opt.params, step, np.random.default_rng(seed + step))
+        _sparse_grads(flat_opt.params, step, np.random.default_rng(seed + step))
+        ref_opt.clip_grad_norm(1.0)
+        flat_opt.clip_grad_norm(1.0)
+        ref_opt.step()
+        _flat_step(flat_opt, via)
+        _assert_bitwise(ref_opt, flat_opt, f"at step {step}")
+        if on_step is not None:
+            on_step(step)
+
+
+WEIGHT_DECAYS = [dict(), dict(weight_decay=0.01), dict(weight_decay=0.01, decoupled=True)]
+
+
 class TestFlatAdamBitwise:
-    @pytest.mark.parametrize("kwargs", [
-        dict(),
-        dict(weight_decay=0.01),
-        dict(weight_decay=0.01, decoupled=True),
-    ])
+    @pytest.mark.parametrize("via", ["step", "step_flat"])
+    @pytest.mark.parametrize("kwargs", WEIGHT_DECAYS)
+    def test_live_entries_match_dense_adam(self, kwargs, via):
+        """Held-back embedding rows, ``±0`` gradients and missing
+        parameters: twelve steps stay bitwise equal to the dense
+        ``Adam``.  Without weight decay the held-back rows stay out of
+        the live set until they are touched, and the live set spans
+        both the gathered (under a quarter of the buffer) and the
+        whole-buffer steps."""
+        ref_opt = Adam(_make_sparse_params(0), lr=1e-2, **kwargs)
+        flat_opt = FlatAdam(_make_sparse_params(0), lr=1e-2, **kwargs)
+        held = slice(HELD_ROWS * 3, EMBED_ROWS * 3)
+        sparse_steps = []
+
+        def check_live(step):
+            live = flat_opt._live
+            sparse_steps.append(4 * np.count_nonzero(live) < live.size)
+            if step < FIRST_TOUCH and not kwargs:
+                assert not live[held].any()
+
+        _run_sparse_pair(ref_opt, flat_opt, 12, via, on_step=check_live)
+        if kwargs:
+            assert not any(sparse_steps)
+        else:
+            assert flat_opt._live[held].any()
+            assert any(sparse_steps) and not all(sparse_steps)
+
+    @pytest.mark.parametrize("via", ["step", "step_flat"])
+    def test_load_state_dict_with_negative_zero_moments(self, via):
+        """A reference checkpoint whose moments hold ``-0.0`` in
+        otherwise untouched entries: a dense step turns those moments to
+        ``+0.0`` and, with a ``-0.0`` gradient, a ``-0.0`` parameter to
+        ``+0.0``.  The restored ``FlatAdam`` must count them live."""
+        ref_opt = Adam(_make_sparse_params(1), lr=1e-2)
+        for step in range(3):
+            _sparse_grads(ref_opt.params, step, np.random.default_rng(50 + step))
+            ref_opt.step()
+        state = ref_opt.state_dict()
+        row = HELD_ROWS + 3
+        assert not state["m"][0][row:].any() and not state["v"][0][row:].any()
+        state["m"][0][row, 2] = -0.0   # its parameter entry is -0.0 too
+        state["m"][0][row + 1, 0] = -0.0
+        state["v"][0][row + 2, 1] = -0.0
+        ref_opt.load_state_dict(state)
+        flat_opt = FlatAdam([Parameter(p.data.copy()) for p in ref_opt.params], lr=1e-2)
+        flat_opt.load_state_dict(state)
+        before = _bits(ref_opt.params[0].data[row, 2])
+        _run_sparse_pair(ref_opt, flat_opt, 8, via, seed=60)
+        assert _bits(ref_opt.params[0].data[row, 2]) != before, "-0.0 parameter did not move"
+        assert ref_opt.t == flat_opt.t == 11
+
+    @pytest.mark.parametrize("kwargs", WEIGHT_DECAYS)
     def test_bitwise_vs_adam(self, kwargs):
         ref_params, flat_params = _make_params(0), _make_params(0)
         ref_opt = Adam(ref_params, lr=1e-2, **kwargs)

@@ -9,7 +9,8 @@ Every k-NN consumer is checked bitwise against one brute-force oracle
   query;
 - the streaming negative sampler equals ``brute_pools[targets, cols]``
   under the same seed (and the repeat-last padding on tiny
-  catalogues);
+  catalogues), and samplers over one dataset share its index's pool
+  LRU without seeing each other's widths;
 - FPMC-LR's localized regions, evaluation slates and serving slates;
 - sharded loss == unsharded loss: forward within 1e-6, gradients
   bitwise, across shard sizes including a ragged last shard.
@@ -57,6 +58,27 @@ def brute_knn(coords, poi, k):
     km = xyz_distance_km(xyz[rows], xyz[poi - 1])
     order = np.lexsort((rows, km))[:k]
     return rows[order] + 1, km[order]
+
+
+def fresh(ds):
+    """The same catalogue as a new dataset, so it gets its own index and
+    pool LRU."""
+    from repro.data.types import CheckInDataset
+
+    return CheckInDataset(name=ds.name, poi_coords=ds.poi_coords, sequences=ds.sequences)
+
+
+def count_pool_queries(monkeypatch, index):
+    """Count ``index.query_canonical`` calls (the pool LRU's misses)."""
+    calls = []
+    query = index.query_canonical
+
+    def counted(poi_id, k):
+        calls.append((poi_id, k))
+        return query(poi_id, k)
+
+    monkeypatch.setattr(index, "query_canonical", counted)
+    return calls
 
 
 def brute_excluding(coords, poi, k, exclude):
@@ -226,18 +248,20 @@ class TestStreamingSampler:
             sampler.sample(targets), expected_draw(pools, targets, 7, 30, 42)
         )
 
-    def test_streaming_cache_bounded_and_hit(self, tiny_dataset):
+    def test_streaming_cache_bounded_and_hit(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(PoiIndex, "POOL_CACHE_SIZE", 4)
+        ds = fresh(tiny_dataset)
         sampler = NearestNegativeSampler(
-            tiny_dataset, num_negatives=3, pool_size=10,
-            rng=np.random.default_rng(0), cache_size=4,
+            ds, num_negatives=3, pool_size=10, rng=np.random.default_rng(0)
         )
+        pools = ds.spatial_index().pools
         sampler.sample(np.array([[1, 2, 3, 1, 2]]))
         sampler.sample(np.array([[1, 2, 3]]))
-        assert len(sampler._pool_cache) <= 4
-        assert sampler._pool_cache.stats.hits >= 3
+        assert len(pools) <= 4
+        assert pools.stats.hits >= 3
         # More unique targets than capacity: the cache stays bounded.
-        sampler.sample(np.arange(1, tiny_dataset.num_pois + 1))
-        assert len(sampler._pool_cache) <= 4
+        sampler.sample(np.arange(1, ds.num_pois + 1))
+        assert len(pools) <= 4
 
     def test_pad_targets_give_pad(self, tiny_dataset):
         sampler = NearestNegativeSampler(
@@ -246,6 +270,82 @@ class TestStreamingSampler:
         negs = sampler.sample(np.array([[PAD_POI, 2]]))
         assert (negs[0, 0] == PAD_POI).all()
         assert (negs[0, 1] != PAD_POI).all()
+
+
+class TestSharedPools:
+    """Pools live in the dataset's index, shared by every sampler."""
+
+    def test_second_sampler_hits_and_draws_like_a_cold_one(self, tiny_dataset, monkeypatch):
+        targets = np.random.default_rng(3).integers(
+            0, tiny_dataset.num_pois + 1, size=(5, 9)
+        )
+        cold = NearestNegativeSampler(
+            fresh(tiny_dataset), num_negatives=6, pool_size=25, rng=np.random.default_rng(9)
+        ).sample(targets)
+
+        ds = fresh(tiny_dataset)
+        NearestNegativeSampler(
+            ds, num_negatives=2, pool_size=25, rng=np.random.default_rng(1)
+        ).sample(targets)
+        calls = count_pool_queries(monkeypatch, ds.spatial_index())
+        warm = NearestNegativeSampler(
+            ds, num_negatives=6, pool_size=25, rng=np.random.default_rng(9)
+        ).sample(targets)
+        assert calls == []
+        np.testing.assert_array_equal(warm, cold)
+        pools = brute_pools(tiny_dataset.poi_coords[1:], 25)
+        np.testing.assert_array_equal(warm, expected_draw(pools, targets, 6, 25, 9))
+
+    def test_widths_never_cross(self):
+        ds = TestTinyCataloguePadding().make_tiny()
+        coords = ds.poi_coords[1:]
+        samplers = [
+            (NearestNegativeSampler(ds, num_negatives=2, pool_size=3,
+                                    rng=np.random.default_rng(seed)), 3, seed)
+            for seed in (1, 2)
+        ] + [
+            (NearestNegativeSampler(ds, num_negatives=2, pool_size=10,
+                                    rng=np.random.default_rng(3)), 5, 3),
+            (NearestNegativeSampler(ds, num_negatives=2, pool_size=10, pad_to_pool_size=True,
+                                    rng=np.random.default_rng(4)), 10, 4),
+        ]
+        targets = np.array([1, 4, 6, 4])
+        for sampler, width, seed in samplers * 2:
+            for target in targets:
+                np.testing.assert_array_equal(
+                    sampler.pool_for(int(target)), brute_pools(coords, width)[target]
+                )
+        for sampler, width, seed in samplers:
+            sampler.rng = np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                sampler.sample(targets),
+                expected_draw(brute_pools(coords, width), targets, 2, width, seed),
+            )
+        # One entry per (target, query width): 3 and the clamped 5; the
+        # padded sampler queries width 5 too and pads its own copy.
+        cached = ds.spatial_index().pools
+        assert len(cached) == 6
+        assert all((t, k) in cached for t in (1, 4, 6) for k in (3, 5))
+
+    def test_lru_bound_holds_across_samplers(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(PoiIndex, "POOL_CACHE_SIZE", 5)
+        ds = fresh(tiny_dataset)
+        pools = brute_pools(ds.poi_coords[1:], 12)
+        targets = np.arange(1, ds.num_pois + 1)
+        for seed in range(3):
+            sampler = NearestNegativeSampler(
+                ds, num_negatives=4, pool_size=12, rng=np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(
+                sampler.sample(targets), expected_draw(pools, targets, 4, 12, seed)
+            )
+            assert len(ds.spatial_index().pools) <= 5
+        assert ds.spatial_index().pools.stats.evictions >= 3 * ds.num_pois - 5
+
+    def test_cached_pools_are_read_only(self, tiny_dataset):
+        sampler = NearestNegativeSampler(fresh(tiny_dataset), num_negatives=2, pool_size=8)
+        with pytest.raises(ValueError):
+            sampler.pool_for(1)[0] = 2
 
 
 class TestTinyCataloguePadding:

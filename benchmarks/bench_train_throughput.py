@@ -15,9 +15,10 @@ Adam, so the first step's loss must match exactly between legs — the
 benchmark asserts that too, making it a cheap end-to-end equivalence
 canary at a shape the unit suites don't cover.
 
-A second microbenchmark prices the ``segment_sum_rows`` scatter-add
-(embedding backward) against the ``np.add.at`` ufunc path it replaced,
-at training shape, asserting both the speedup and bitwise equality.
+A second microbenchmark prices the ``row_sums`` row-sparse scatter-add
+(embedding backward) against the dense ``np.add.at`` ufunc path it
+replaced, at training shape, asserting both the speedup and that the
+densified result is bitwise equal.
 
 A third benchmark sweeps ``repro.parallel`` over worker counts
 {1, 2, 4}: the epoch loss must be **bitwise identical** across the
@@ -49,7 +50,7 @@ from repro.data.batching import BatchIterator
 from repro.data.negatives import NearestNegativeSampler
 from repro.nn import functional as F
 from repro.nn import fused
-from repro.nn.functional import segment_sum_rows
+from repro.nn.functional import row_sums
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.tensor import grad_arena
 from repro.parallel import train_data_parallel
@@ -208,7 +209,7 @@ def run_scatter():
         return out
 
     def segsum():
-        return segment_sum_rows(idx, grad, num_rows)
+        return row_sums(idx, grad, num_rows)
 
     repeats = 3 if QUICK else 10
     times = {"add_at": [], "segment_sum": []}
@@ -222,21 +223,21 @@ def run_scatter():
     return {
         "add_at_s": min(times["add_at"]),
         "segment_sum_s": min(times["segment_sum"]),
-        "bitwise_equal": bool(np.array_equal(expected, got)),
+        "bitwise_equal": bool(np.array_equal(expected, got.dense())),
     }
 
 
 def test_scatter_microbench(benchmark):
     report = benchmark.pedantic(run_scatter, rounds=1, iterations=1)
     speedup = report["add_at_s"] / report["segment_sum_s"]
-    banner("Embedding backward — segment_sum_rows vs np.add.at")
+    banner("Embedding backward — row_sums vs np.add.at")
     print(
         f"np.add.at {report['add_at_s'] * 1e6:8.1f} us   "
-        f"segment_sum_rows {report['segment_sum_s'] * 1e6:8.1f} us   "
+        f"row_sums {report['segment_sum_s'] * 1e6:8.1f} us   "
         f"speedup {speedup:5.2f}x"
     )
     persist("BENCH_scatter", {"batch_shape": {**report, "speedup": speedup}})
-    assert report["bitwise_equal"], "segment_sum_rows diverged from np.add.at"
+    assert report["bitwise_equal"], "row_sums diverged from np.add.at"
     # The CSR selection-matrix path must actually beat the ufunc scatter.
     assert speedup >= 1.5, f"scatter speedup {speedup:.2f}x below 1.5x"
 

@@ -22,6 +22,7 @@ from .attention_vs_relation import (
 )
 from .embedding_probe import geography_encoder_alignment, pairwise_alignment
 from .render import render_heatmap, render_histogram, render_series
+from .taad_probe import TaadEntropyReport, attention_entropy, taad_attention_entropy
 from .trajectories import (
     UserMobilityStats,
     dataset_mobility_summary,
@@ -56,4 +57,7 @@ __all__ = [
     "render_series",
     "pairwise_alignment",
     "geography_encoder_alignment",
+    "TaadEntropyReport",
+    "attention_entropy",
+    "taad_attention_entropy",
 ]

@@ -43,6 +43,7 @@ from .schedulers import (
     WarmupCosineLR,
     lr_trace,
 )
+from .rowsparse import RowSparseGrad, dense_grad
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     GradArena,
@@ -61,6 +62,8 @@ from .tensor import (
 
 __all__ = [
     "functional",
+    "RowSparseGrad",
+    "dense_grad",
     "AnomalyError",
     "anomaly_mode",
     "is_anomaly_enabled",

@@ -29,6 +29,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .rowsparse import RowSparseGrad
+
 __all__ = ["AnomalyError", "anomaly_mode", "is_anomaly_enabled"]
 
 # Module-level flag read by the hot paths in tensor.py.  Initialized from
@@ -137,7 +139,10 @@ def check_backward(node) -> None:
     for parent in node._parents:
         if parent.grad is None:
             continue
-        desc = _describe_nonfinite(parent.grad)
+        grad = parent.grad
+        if isinstance(grad, RowSparseGrad):
+            grad = grad.values  # zero outside its listed rows
+        desc = _describe_nonfinite(grad)
         if desc is not None:
             raise AnomalyError(
                 op_name_of(node._backward),

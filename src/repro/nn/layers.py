@@ -65,7 +65,7 @@ class Embedding(Module):
         weight = init.normal((num_embeddings, embedding_dim), rng, std=std)
         if padding_idx is not None:
             weight[padding_idx] = 0.0
-        self.weight = Parameter(weight)
+        self.weight = Parameter(weight, row_table=True)
 
     def forward(self, indices) -> Tensor:
         idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)  # repro-lint: disable=REPRO-F64 -- integer ids, cast to int64 below

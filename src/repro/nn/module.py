@@ -15,10 +15,16 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A Tensor that is registered as trainable model state."""
+    """A Tensor that is registered as trainable model state.
 
-    def __init__(self, data, name: str = ""):
+    ``row_table`` marks an embedding table, read a few rows at a time:
+    ``FlatAdam`` keeps its moments for the rows a step touched instead
+    of in its flat buffer.
+    """
+
+    def __init__(self, data, name: str = "", row_table: bool = False):
         super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True, name=name)
+        self.row_table = row_table
 
 
 class Module:

@@ -6,11 +6,12 @@ baselines (BPR/FPMC traditionally use SGD) and ablation studies.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from .module import Parameter
+from .rowsparse import RowSparseGrad, dense_grad
 
 
 class Optimizer:
@@ -30,10 +31,16 @@ class Optimizer:
         raise NotImplementedError
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Global-norm gradient clipping; returns the pre-clip norm."""
+        """Global-norm gradient clipping; returns the pre-clip norm.
+
+        A row-sparse gradient adds the exact float32 sum of squares of
+        the dense table it stands for, from its live rows; scaling it
+        scales only those rows."""
         total = 0.0
         for p in self.params:
-            if p.grad is not None:
+            if isinstance(p.grad, RowSparseGrad):
+                total += float(p.grad.sum_of_squares())
+            elif p.grad is not None:
                 total += float((p.grad ** 2).sum())
         norm = float(np.sqrt(total))
         if norm > max_norm and norm > 0:
@@ -81,7 +88,7 @@ class SGD(Optimizer):
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
-            grad = p.grad
+            grad = dense_grad(p.grad)
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             if self.momentum:
@@ -149,7 +156,7 @@ class Adam(Optimizer):
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            grad = p.grad
+            grad = dense_grad(p.grad)
             if self.weight_decay and not self.decoupled:
                 grad = grad + self.weight_decay * p.data
             m *= self.beta1
@@ -164,55 +171,108 @@ class Adam(Optimizer):
             p.assign_(p.data - self.lr * update)
 
 
+class _RowTable:
+    """Adam moments of an embedding table.
+
+    ``rows`` (sorted) lists the rows that ever had a nonzero gradient,
+    or a moment with any bit set after a load, and ``m`` and ``v`` hold
+    their moments in the same order; every other row's moments are
+    ``+0``.
+    """
+
+    __slots__ = ("shape", "rows", "m", "v")
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        self.rows = np.empty(0, dtype=np.int64)
+        self.m = np.empty((0,) + shape[1:], dtype=np.float32)
+        self.v = np.empty_like(self.m)
+
+    def whole(self, moment: np.ndarray) -> np.ndarray:
+        """``moment`` (``m`` or ``v``) as a whole table, a fresh array."""
+        out = np.zeros(self.shape, dtype=np.float32)
+        out[self.rows] = moment
+        return out
+
+    def load(self, m: np.ndarray, v: np.ndarray) -> None:
+        # By bit pattern, so a -0.0 moment (which a dense step turns
+        # into +0.0) is live.
+        bits = (m.view(np.uint32) != 0) | (v.view(np.uint32) != 0)
+        self.rows = np.flatnonzero(bits.reshape(len(bits), -1).any(axis=1))
+        self.m, self.v = m[self.rows], v[self.rows]
+
+    def find(self, rows: np.ndarray) -> tuple:
+        """For sorted ``rows``: which of them are live, and where."""
+        at = np.searchsorted(self.rows, rows)
+        found = at < self.rows.size
+        found[found] = self.rows[at[found]] == rows[found]
+        return found, at
+
+    def grow(self, rows: np.ndarray) -> None:
+        """Add ``rows`` (sorted) to the live set, with ``+0`` moments."""
+        rows = rows[~self.find(rows)[0]]
+        if not rows.size:
+            return
+        merged = np.concatenate([self.rows, rows])
+        merged.sort()
+        old = np.searchsorted(merged, self.rows)
+        m = np.zeros((merged.size,) + self.shape[1:], dtype=np.float32)
+        v = np.zeros_like(m)
+        m[old], v[old] = self.m, self.v
+        self.rows, self.m, self.v = merged, m, v
+
+
 class FlatAdam(Adam):
-    """Adam on one contiguous flat float32 buffer — bitwise-identical updates.
+    """Adam that pays for the entries a step moves — bitwise-identical
+    updates to :class:`Adam`.
 
     The reference :class:`Adam` loops over parameters in Python, paying
     ~10 numpy dispatches per parameter per step; at STiSAN's ~50
     parameters that loop overhead rivals the actual arithmetic.
-    ``FlatAdam`` registers every parameter into one contiguous float32
-    buffer so the whole update is a handful of vectorized numpy ops.
+    ``FlatAdam`` registers the dense parameters into one contiguous
+    float32 buffer so their update is a handful of vectorized numpy
+    ops.  An embedding table (a ``row_table`` parameter) with more
+    entries than all the unmarked parameters together is kept apart by
+    its live rows, so a step over a large catalogue costs the rows the
+    batch touched.
 
     Because every Adam operation is *elementwise*, running it on any
-    subset of the concatenated parameters produces bit-identical
-    per-element results — swapping ``Adam`` for ``FlatAdam`` changes
-    nothing about a training run (``tests/test_fused.py`` asserts this).
+    subset of the parameters produces bit-identical per-element results
+    — swapping ``Adam`` for ``FlatAdam`` changes nothing about a
+    training run (``tests/test_fused.py`` asserts this).
 
-    **Only live entries are touched.**  Dense Adam leaves an entry
+    **Dead entries are fixed points.**  Dense Adam leaves an entry
     unchanged when its ``m`` and ``v`` are bitwise ``+0.0`` and its
     gradient is ``±0``: ``β·(+0) + (1-β)·(±0) = +0`` for both moments
     (``+0 + -0 = +0``), so ``m' = v' = +0``; the update is
     ``(+0/b1) / (sqrt(+0/b2) + eps) = +0/eps = +0``; and
     ``p - lr·(+0) = p`` for every ``p``, including ``-0``, ``±inf`` and
-    NaN.  A boolean mask over the flat buffer marks every entry that has
-    ever had a nonzero gradient (or a moment with any bit set, after
-    :meth:`load_state_dict`; a ``-0.0`` moment counts).  Each step ORs
-    in the new gradient's nonzeros and selects the live entries of the
-    parameters that have a gradient.  When they are under a quarter of
-    the buffer (an embedding step over a large catalogue) it gathers
-    them with one ``np.flatnonzero``, runs the unchanged float32
-    expression on them and scatters the result into a copy of the
-    parameter buffer, so the step costs the rows the batch touched, not
-    the catalogue.  Otherwise an index gather would cost more than it
-    saves: when every parameter has a gradient the step runs on the
-    whole buffer as views, and the dead entries come out unchanged by
-    the fixed point above; when one lacks a gradient it indexes with the
-    boolean mask.  A nonzero ``weight_decay`` moves every entry, so it
-    marks every entry live.
+    NaN.  So the flat buffer steps every entry of the parameters that
+    have a gradient, as views, and a table steps only its live rows:
+    those that ever had a nonzero gradient entry (or, after
+    :meth:`load_state_dict`, a moment with any bit set; a ``-0.0``
+    moment counts).  A dead entry inside a live row is stepped as the
+    fixed point above.  A table's gradient may be row-sparse (from an
+    embedding lookup) or dense; either way its live rows are found from
+    the rows it lists, the moments are gathered for those rows only,
+    and nothing is allocated for the table at construction.  A nonzero
+    ``weight_decay`` moves every entry, so it makes every row live.
 
     Semantics preserved:
 
-    - **assign_/version counters** — after each step every parameter is
-      re-pointed at a slice view of the step's freshly allocated result
-      buffer via ``assign_`` (bumping its version as the per-parameter
-      path does).  The result buffer is never mutated afterwards, so
-      the views are stable.  If outside code replaces a parameter's array
+    - **assign_/version counters** — after each step every stepped
+      parameter is re-pointed at a freshly allocated array via
+      ``assign_`` (bumping its version as the per-parameter path does):
+      a slice view of the step's flat result buffer, or, for a table, a
+      copy of the table with the live rows replaced.  That copy is the
+      one table-sized pass a step keeps: results are never mutated
+      afterwards, so earlier views of a parameter stay valid.  If
+      outside code replaces a dense parameter's array
       (``load_state_dict``, early-stopping restore), the detached view
       is detected by identity (`p.data is view`) and the flat buffer is
       re-synced from the parameter on the next step.
     - **missing gradients** — ``Adam`` skips parameters whose ``grad``
-      is None (moments untouched, value unchanged); the flat step
-      simply does not gather their segments.
+      is None (moments untouched, value unchanged); so does this step.
     - **checkpoints** — ``state_dict``/``load_state_dict`` present the
       exact per-parameter ``{"t", "m", "v"}`` format the checkpoint
       layer serializes, so ``Adam`` and ``FlatAdam`` checkpoints are
@@ -228,25 +288,42 @@ class FlatAdam(Adam):
         self._shapes = [p.data.shape for p in self.params]
         sizes = [p.data.size for p in self.params]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        total = int(self._offsets[-1])
+        # A marked table with no more entries than all the unmarked
+        # parameters together costs no more to step in the flat buffer
+        # than they do.
+        marked = [getattr(p, "row_table", False) for p in self.params]
+        rest = sum(size for size, table in zip(sizes, marked) if not table)
+        self._tables: Dict[int, _RowTable] = {
+            i: _RowTable(p.data.shape)
+            for i, (p, table) in enumerate(zip(self.params, marked))
+            if table and p.data.size > rest
+        }
+        # The dense parameters' slices of the flat buffers.
+        self._spans: Dict[int, slice] = {}
+        total = 0
+        for i, size in enumerate(sizes):
+            if i not in self._tables:
+                self._spans[i] = slice(total, total + size)
+                total += size
         self._flat_p = np.empty(total, dtype=np.float32)
-        for p, a, b in zip(self.params, self._offsets, self._offsets[1:]):
-            self._flat_p[a:b] = p.data.ravel()
+        for i, span in self._spans.items():
+            self._flat_p[span] = self.params[i].data.ravel()
         self._flat_m = np.zeros(total, dtype=np.float32)
         self._flat_v = np.zeros(total, dtype=np.float32)
         self._flat_g = np.empty(total, dtype=np.float32)
-        self._live = np.zeros(total, dtype=bool)
         self._views: List[Optional[np.ndarray]] = [None] * len(self.params)
-        # Mirror the flat moments into the per-parameter lists the base
-        # class exposes (kept as views so reads stay coherent).
-        self._m = self._segments(self._flat_m)
-        self._v = self._segments(self._flat_v)
 
-    def _segments(self, flat: np.ndarray) -> List[np.ndarray]:
-        return [
-            flat[a:b].reshape(shape)
-            for a, b, shape in zip(self._offsets, self._offsets[1:], self._shapes)
-        ]
+    def state_dict(self) -> dict:
+        m, v = [], []
+        for i, shape in enumerate(self._shapes):
+            table = self._tables.get(i)
+            if table is not None:
+                m.append(table.whole(table.m))
+                v.append(table.whole(table.v))
+            else:
+                m.append(self._flat_m[self._spans[i]].reshape(shape).copy())
+                v.append(self._flat_v[self._spans[i]].reshape(shape).copy())
+        return {"t": self.t, "m": m, "v": v}
 
     def load_state_dict(self, state: dict) -> None:
         moments_m, moments_v = state["m"], state["v"]
@@ -262,12 +339,14 @@ class FlatAdam(Adam):
                     f"match parameter shape {param.data.shape}"
                 )
         self.t = int(state["t"])
-        for a, b, m, v in zip(self._offsets, self._offsets[1:], moments_m, moments_v):
-            self._flat_m[a:b] = np.asarray(m, dtype=np.float32).ravel()
-            self._flat_v[a:b] = np.asarray(v, dtype=np.float32).ravel()
-        # By bit pattern, so a -0.0 moment (which a dense step turns
-        # into +0.0) is live.
-        self._live = (self._flat_m.view(np.uint32) != 0) | (self._flat_v.view(np.uint32) != 0)
+        for i, (m, v) in enumerate(zip(moments_m, moments_v)):
+            m = np.asarray(m, dtype=np.float32)
+            v = np.asarray(v, dtype=np.float32)
+            if i in self._tables:
+                self._tables[i].load(m, v)
+            else:
+                self._flat_m[self._spans[i]] = m.ravel()
+                self._flat_v[self._spans[i]] = v.ravel()
 
     # ------------------------------------------------------------------
     # Flat-gradient surface (the data-parallel trainer's contract)
@@ -306,7 +385,7 @@ class FlatAdam(Adam):
                 if touched is not None:
                     touched[i] = 0
             else:
-                out[a:b] = p.grad.ravel()
+                out[a:b] = dense_grad(p.grad).ravel()
                 if touched is not None:
                     touched[i] = 1
 
@@ -314,73 +393,52 @@ class FlatAdam(Adam):
         """One Adam step from an externally reduced flat gradient.
 
         Bitwise-identical arithmetic to :meth:`step` — both funnel into
-        the same live-entry update — but the gradient arrives already
-        flattened (and, in data-parallel training, already all-reduced
-        in fixed shard order).  ``missing`` lists parameter indices that
-        received no gradient on *any* shard; their values and moments
-        are preserved exactly as the per-parameter path does.
+        the same update — but the gradient arrives already flattened
+        (and, in data-parallel training, already all-reduced in fixed
+        shard order).  ``missing`` lists parameter indices that received
+        no gradient on *any* shard; their values and moments are
+        preserved exactly as the per-parameter path does.
         """
         if flat_grad.shape != (self.flat_size,) or flat_grad.dtype != np.float32:
             raise ValueError(
                 f"flat gradient must be ({self.flat_size},) float32, "
                 f"got {flat_grad.shape} {flat_grad.dtype}"
             )
+        missing = sorted(set(int(i) for i in missing))
         offsets = self._offsets
-        for i, p in enumerate(self.params):
-            if p.data is not self._views[i]:
-                # Parameter array replaced behind our back
-                # (load_state_dict / restore_best) — re-sync the slice.
-                self._flat_p[offsets[i]:offsets[i + 1]] = p.data.ravel()
-        self._apply_flat(flat_grad, sorted(set(int(i) for i in missing)))
+        grads = [
+            None if i in missing else flat_grad[offsets[i]:offsets[i + 1]].reshape(shape)
+            for i, shape in enumerate(self._shapes)
+        ]
+        self._apply(grads, missing)
 
     def step(self) -> None:
-        offsets = self._offsets
-        flat_p, flat_g = self._flat_p, self._flat_g
-        missing: List[int] = []
-        for i, p in enumerate(self.params):
-            a, b = offsets[i], offsets[i + 1]
-            if p.data is not self._views[i]:
-                # The parameter array was replaced behind our back
-                # (load_state_dict / restore_best) — re-sync the slice.
-                flat_p[a:b] = p.data.ravel()
-            if p.grad is None:
-                missing.append(i)
-                flat_g[a:b] = 0.0
-            else:
-                flat_g[a:b] = p.grad.ravel()
-        self._apply_flat(flat_g, missing)
+        self._apply([p.grad for p in self.params], [])
 
-    def _apply_flat(self, flat_g: np.ndarray, missing: List[int]) -> None:
-        """The Adam update over the live entries of the flat buffers
-        (shared by :meth:`step` and :meth:`step_flat`)."""
-        offsets = self._offsets
+    def _apply(
+        self,
+        grads: List[Optional[Union[np.ndarray, RowSparseGrad]]],
+        missing: List[int],
+    ) -> None:
+        """The Adam update of every parameter with a gradient (shared by
+        :meth:`step` and :meth:`step_flat`)."""
         for i in missing:
             if not 0 <= i < len(self.params):
                 raise IndexError(f"missing-gradient index {i} out of range")
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
+        if self._spans:
+            self._step_flat_buffer(grads, bias1, bias2)
+        for i, table in self._tables.items():
+            if grads[i] is not None:
+                self._step_table(self.params[i], table, grads[i], bias1, bias2)
 
-        live = self._live
-        if self.weight_decay:
-            live[:] = True
-        else:
-            live |= flat_g != 0
-        sel = live
-        if missing:
-            sel = live.copy()
-            for i in missing:
-                sel[offsets[i]:offsets[i + 1]] = False
-        if 4 * np.count_nonzero(sel) < sel.size:
-            sel = np.flatnonzero(sel)
-        elif not missing:
-            sel = slice(None)  # every entry, as views: the dense step
-
-        p = self._flat_p[sel]
-        g = flat_g[sel]
+    def _update(self, p, g, m, v, bias1: float, bias2: float) -> np.ndarray:
+        """Adam on matching arrays: ``m`` and ``v`` in place, returns the
+        new parameter values."""
         if self.weight_decay and not self.decoupled:
             g = g + self.weight_decay * p
-        m, v = self._flat_m[sel], self._flat_v[sel]
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
@@ -388,22 +446,63 @@ class FlatAdam(Adam):
         update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
         if self.weight_decay and self.decoupled:
             update = update + self.weight_decay * p
-        stepped = p - self.lr * update
+        return p - self.lr * update
+
+    def _step_flat_buffer(self, grads, bias1: float, bias2: float) -> None:
+        flat_p, flat_g = self._flat_p, self._flat_g
+        sel = slice(None)  # every entry, as views
+        for i, span in self._spans.items():
+            param = self.params[i]
+            if param.data is not self._views[i]:
+                # The parameter array was replaced behind our back
+                # (load_state_dict / restore_best) — re-sync the slice.
+                flat_p[span] = param.data.ravel()
+            if grads[i] is None:
+                if isinstance(sel, slice):
+                    sel = np.ones(flat_p.size, dtype=bool)
+                sel[span] = False
+            else:
+                flat_g[span] = dense_grad(grads[i]).ravel()
         if isinstance(sel, slice):
-            new_p = stepped  # the moment views were updated in place
+            # The moment views are updated in place.
+            new_p = self._update(flat_p, flat_g, self._flat_m, self._flat_v, bias1, bias2)
         else:
+            m, v = self._flat_m[sel], self._flat_v[sel]
+            stepped = self._update(flat_p[sel], flat_g[sel], m, v, bias1, bias2)
             self._flat_m[sel] = m
             self._flat_v[sel] = v
-            new_p = self._flat_p.copy()
+            new_p = flat_p.copy()
             new_p[sel] = stepped
-
         # Adopt the freshly allocated result buffer and hand every
         # parameter a view into it — ``new_p`` is never mutated after
         # this point so the views stay valid.
         self._flat_p = new_p
-        for i, (param, shape) in enumerate(zip(self.params, self._shapes)):
-            param.assign_(new_p[offsets[i]:offsets[i + 1]].reshape(shape))
+        for i, span in self._spans.items():
+            param = self.params[i]
+            param.assign_(new_p[span].reshape(self._shapes[i]))
             self._views[i] = param.data
+
+    def _step_table(self, param, table: _RowTable, grad, bias1: float, bias2: float) -> None:
+        sparse = isinstance(grad, RowSparseGrad)
+        if self.weight_decay:
+            table.grow(np.arange(table.shape[0], dtype=np.int64))
+        elif sparse:
+            values = grad.values.reshape(grad.rows.size, -1)
+            table.grow(grad.rows[(values != 0).any(axis=1)])
+        else:
+            table.grow(np.flatnonzero((grad.reshape(len(grad), -1) != 0).any(axis=1)))
+        rows = table.rows
+        if sparse:
+            # Live rows the gradient does not list have a +0 gradient.
+            g = np.zeros_like(table.m)
+            listed, at = table.find(grad.rows)
+            g[at[listed]] = grad.values[listed]
+        else:
+            g = grad[rows]
+        stepped = self._update(param.data[rows], g, table.m, table.v, bias1, bias2)
+        new = param.data.copy()
+        new[rows] = stepped
+        param.assign_(new)
 
 
 def AdamW(params: Iterable[Parameter], lr: float = 1e-3, weight_decay: float = 0.01, **kw) -> Adam:

@@ -10,7 +10,10 @@ accumulates gradients.
 
 Design notes
 ------------
-- Gradients are plain ``numpy.ndarray`` objects stored on ``.grad``.
+- Gradients are plain ``numpy.ndarray`` objects stored on ``.grad``,
+  except an embedding table's, which is a
+  :class:`~repro.nn.rowsparse.RowSparseGrad` over the rows a step read
+  (``dense_grad`` turns either into an array).
 - Broadcasting is fully supported; :func:`unbroadcast` reduces an
   upstream gradient back to the shape of the operand that produced it.
 - Only float32 data participates in differentiation.  Integer arrays
@@ -27,6 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import anomaly as _anomaly
+from .rowsparse import RowSparseGrad
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -247,7 +251,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad) and _grad_enabled
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[Union[np.ndarray, RowSparseGrad]] = None
         self._parents = tuple(_parents) if self.requires_grad or _parents else ()
         self._backward = _backward
         self.name = name
@@ -342,10 +346,24 @@ class Tensor:
             out._parent_versions = _anomaly.record_versions(parents)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: Union[np.ndarray, RowSparseGrad]) -> None:
+        """Add ``grad`` to ``.grad`` in arrival order, as ``g1 + g2``.
+
+        Row-sparse gradients stay row-sparse; a dense one meeting a
+        row-sparse one densifies the sum, in the same order."""
+        if isinstance(grad, RowSparseGrad):
+            if self.grad is None:
+                self.grad = grad
+            elif isinstance(self.grad, RowSparseGrad):
+                self.grad = self.grad + grad
+            else:
+                self.grad = self.grad + grad.dense()
+            return
         grad = np.asarray(grad, dtype=np.float32)
         if self.grad is None:
             self.grad = grad.copy() if grad.base is not None else grad
+        elif isinstance(self.grad, RowSparseGrad):
+            self.grad = self.grad.dense() + grad
         else:
             self.grad = self.grad + grad
 
@@ -397,12 +415,17 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 if anomaly_on:
                     _anomaly.check_versions(node)
+                # An op's backward takes a dense gradient; only a
+                # computed table (not a parameter) densifies here.
+                grad = node.grad
+                if isinstance(grad, RowSparseGrad):
+                    grad = grad.dense()
                 if profiler is not None:
                     t0 = _perf_counter()
-                    node._backward(node.grad)
+                    node._backward(grad)
                     profiler.record_backward(node._backward, _perf_counter() - t0)
                 else:
-                    node._backward(node.grad)
+                    node._backward(grad)
                 if anomaly_on:
                     _anomaly.check_backward(node)
 

@@ -11,9 +11,11 @@ installs a hook on that seam and attributes wall time per op type
 - **forward** time is *self time between op boundaries*: the numpy
   compute of an op runs immediately before its ``_make`` call, so the
   interval since the previous boundary is attributed to it.  Python
-  glue between ops lands in the next op's bucket; stage spans
-  (:func:`repro.obs.spans.span`) reset the boundary clock on entry so
-  non-op work between stages is never misattributed.
+  glue between ops lands in the next op's bucket.  Stage spans
+  (:func:`repro.obs.spans.span`, enabled or not) mark a boundary on
+  entry and charge the interval before it to the ``<glue>`` row, as do
+  the gaps between backward closures, so non-op work before a stage is
+  never charged to its first op and the rows sum to the traced time.
 
 The profiler is opt-in and independent of the metrics/spans switch —
 ``with op_profile() as prof:`` costs nothing when not active (hot
@@ -29,7 +31,11 @@ from ..nn.anomaly import op_name_of
 from ..nn.tensor import set_op_profiler
 from .state import perf_counter
 
-__all__ = ["OpStat", "OpProfile", "op_profile"]
+__all__ = ["GLUE", "OpStat", "OpProfile", "op_profile"]
+
+#: The forward row holding time outside any op: the interval before
+#: each span entry and the gaps between backward closures.
+GLUE = "<glue>"
 
 #: The installed profiler, if any (read by spans for boundary marks).
 _active: "Optional[op_profile]" = None
@@ -128,17 +134,29 @@ class op_profile:
         self._last = now
 
     def record_backward(self, backward_closure, elapsed: float) -> None:
+        now = perf_counter()
+        self._glue(now - elapsed)
         name = op_name_of(backward_closure)
         stat = self.profile.backward.get(name)
         if stat is None:
             stat = self.profile.backward[name] = OpStat()
         stat.calls += 1
         stat.total_s += elapsed
-        self._last = perf_counter()
+        self._last = now
 
     def mark(self) -> None:
-        """Reset the forward boundary clock (stage starts, span entries)."""
-        self._last = perf_counter()
+        """Mark a boundary (span entries): the time since the previous
+        one goes to the ``<glue>`` row."""
+        now = perf_counter()
+        self._glue(now)
+        self._last = now
+
+    def _glue(self, until: float) -> None:
+        stat = self.profile.forward.get(GLUE)
+        if stat is None:
+            stat = self.profile.forward[GLUE] = OpStat()
+        stat.calls += 1
+        stat.total_s += max(0.0, until - self._last)
 
     # -- installation --------------------------------------------------
     def __enter__(self) -> OpProfile:
@@ -146,7 +164,7 @@ class op_profile:
         self._prev = _active
         self._prev_tensor = set_op_profiler(self)
         _active = self
-        self.mark()
+        self._last = perf_counter()
         return self.profile
 
     def __exit__(self, *exc) -> bool:

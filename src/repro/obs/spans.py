@@ -156,8 +156,13 @@ class _Span:
 
 
 def span(name: str):
-    """A context manager timing one named stage (no-op when disabled)."""
+    """A context manager timing one named stage (no-op when disabled).
+
+    Either way, an active op profiler marks a boundary on entry."""
     if not _state._enabled:
+        profiler = _opprof._active
+        if profiler is not None:
+            profiler.mark()
         return _NULL_SPAN
     return _Span(name)
 

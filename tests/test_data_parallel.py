@@ -214,9 +214,10 @@ class TestFlatGradientSurface:
             for i in range(len(a)):
                 assert np.array_equal(a[i].data, b[i].data), f"param {i} diverged"
         assert opt_a.t == opt_b.t
-        for ma, mb in zip(opt_a._m, opt_b._m):
+        state_a, state_b = opt_a.state_dict(), opt_b.state_dict()
+        for ma, mb in zip(state_a["m"], state_b["m"]):
             assert np.array_equal(ma, mb)
-        for va, vb in zip(opt_a._v, opt_b._v):
+        for va, vb in zip(state_a["v"], state_b["v"]):
             assert np.array_equal(va, vb)
 
     def test_shape_and_index_validation(self):

@@ -51,6 +51,7 @@ from repro.nn.attention import (
 from repro.nn.layers import LayerNorm
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam, FlatAdam
+from repro.nn.rowsparse import RowSparseGrad, dense_grad
 from repro.nn.tensor import Tensor, grad_arena
 
 BACKWARD_ATOL = 1e-6
@@ -379,14 +380,14 @@ EMBED_ROWS, HELD_ROWS, FIRST_TOUCH = 200, 100, 5
 
 
 def _make_sparse_params(seed):
-    """An embedding-like ``(EMBED_ROWS, 3)`` table plus dense parameters;
+    """An embedding ``(EMBED_ROWS, 3)`` row table plus dense parameters;
     the table's held-back rows include a ``-0.0`` and an ``inf``."""
     rng = np.random.default_rng(seed)
     shapes = [(EMBED_ROWS, 3), (7,), (2, 3, 4), (5,)]
     arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
     arrays[0][EMBED_ROWS - 1] = [-0.0, np.inf, -0.0]
     arrays[0][HELD_ROWS + 3, 2] = -0.0
-    return [Parameter(a) for a in arrays]
+    return [Parameter(arrays[0], row_table=True)] + [Parameter(a) for a in arrays[1:]]
 
 
 def _sparse_grads(params, step, rng):
@@ -422,8 +423,9 @@ def _bits(a):
 def _assert_bitwise(ref_opt, flat_opt, where):
     """Parameters and both moments equal bit for bit: ``-0.0`` is not
     ``+0.0`` here, unlike ``np.array_equal``."""
+    ref_state, flat_state = ref_opt.state_dict(), flat_opt.state_dict()
     pairs = [("param", [p.data for p in ref_opt.params], [p.data for p in flat_opt.params]),
-             ("m", ref_opt._m, flat_opt._m), ("v", ref_opt._v, flat_opt._v)]
+             ("m", ref_state["m"], flat_state["m"]), ("v", ref_state["v"], flat_state["v"])]
     for what, ref, flat in pairs:
         for i, (r, f) in enumerate(zip(ref, flat)):
             np.testing.assert_array_equal(
@@ -465,26 +467,102 @@ class TestFlatAdamBitwise:
         """Held-back embedding rows, ``±0`` gradients and missing
         parameters: twelve steps stay bitwise equal to the dense
         ``Adam``.  Without weight decay the held-back rows stay out of
-        the live set until they are touched, and the live set spans
-        both the gathered (under a quarter of the buffer) and the
-        whole-buffer steps."""
+        the table's live rows until they are touched; with it every
+        row is live from the start."""
         ref_opt = Adam(_make_sparse_params(0), lr=1e-2, **kwargs)
         flat_opt = FlatAdam(_make_sparse_params(0), lr=1e-2, **kwargs)
-        held = slice(HELD_ROWS * 3, EMBED_ROWS * 3)
-        sparse_steps = []
+        live = []
 
         def check_live(step):
-            live = flat_opt._live
-            sparse_steps.append(4 * np.count_nonzero(live) < live.size)
+            rows = flat_opt._tables[0].rows
+            live.append(rows.size)
             if step < FIRST_TOUCH and not kwargs:
-                assert not live[held].any()
+                assert rows.size and not (rows >= HELD_ROWS).any()
 
         _run_sparse_pair(ref_opt, flat_opt, 12, via, on_step=check_live)
         if kwargs:
-            assert not any(sparse_steps)
+            assert live == [EMBED_ROWS] * 12
         else:
-            assert flat_opt._live[held].any()
-            assert any(sparse_steps) and not all(sparse_steps)
+            assert live[-1] > live[FIRST_TOUCH - 1]
+
+    @pytest.mark.parametrize("kwargs", WEIGHT_DECAYS)
+    @np.errstate(invalid="ignore")  # weight decay spreads the ``inf`` entry's NaNs
+    def test_row_sparse_gradient_across_clip_threshold(self, kwargs):
+        """An embedding table whose gradient arrives row-sparse from two
+        lookups (padding included): the clip norm equals the dense
+        gradient's bit for bit, whether clipping fires (even steps) or
+        not (odd steps), and ``FlatAdam`` stays bitwise equal to
+        ``Adam`` stepping the densified gradient."""
+        legs = [_make_sparse_params(3) for _ in range(3)]
+        dense_ref = Adam(legs[0], lr=1e-2, **kwargs)
+        sparse_ref = Adam(legs[1], lr=1e-2, **kwargs)
+        flat = FlatAdam(legs[2], lr=1e-2, **kwargs)
+        for step in range(8):
+            rng = np.random.default_rng(200 + step)
+            src = rng.integers(0, HELD_ROWS, size=(4, 6))
+            src[0, :2] = 0  # padding lookups list row 0 with zero values
+            cand = rng.integers(0, EMBED_ROWS if step >= FIRST_TOUCH else HELD_ROWS, size=(4, 5))
+            seeds = [rng.standard_normal((4, 6, 3)), rng.standard_normal((4, 5, 3))]
+            dense = [rng.standard_normal(p.data.shape).astype(np.float32) for p in legs[0][1:]]
+            max_norm = 1e-3 if step % 2 == 0 else 1e6
+            norms = []
+            for params, opt in zip(legs, (dense_ref, sparse_ref, flat)):
+                opt.zero_grad()
+                a = F.embedding_lookup(params[0], src, padding_idx=0)
+                b = F.embedding_lookup(params[0], cand)
+                ((a * Tensor(seeds[0])).sum() + (b * Tensor(seeds[1])).sum()).backward()
+                assert isinstance(params[0].grad, RowSparseGrad)
+                if opt is dense_ref:
+                    params[0].grad = dense_grad(params[0].grad)
+                for p, g in zip(params[1:], dense):
+                    p.grad = g.copy()
+                norms.append(opt.clip_grad_norm(max_norm))
+                opt.step()
+            assert norms[0] > 1e-3
+            assert norms[1] == norms[0] and norms[2] == norms[0], f"norms {norms} at step {step}"
+            _assert_bitwise(dense_ref, sparse_ref, f"(Adam, row-sparse) at step {step}")
+            _assert_bitwise(dense_ref, flat, f"(FlatAdam, row-sparse) at step {step}")
+
+    def test_table_no_larger_than_the_rest_stays_in_the_flat_buffer(self):
+        """A small embedding table is stepped in the flat buffer from
+        its row-sparse gradient, bitwise as ``Adam`` steps it."""
+        legs = []
+        for _ in range(2):
+            rng = np.random.default_rng(7)
+            legs.append([Parameter(rng.standard_normal((4, 3)).astype(np.float32), row_table=True),
+                         Parameter(rng.standard_normal(50).astype(np.float32))])
+        ref_opt, flat_opt = Adam(legs[0], lr=1e-2), FlatAdam(legs[1], lr=1e-2)
+        assert not flat_opt._tables
+        for step in range(4):
+            idx = np.random.default_rng(step).integers(0, 4, size=5)
+            for params, opt in zip(legs, (ref_opt, flat_opt)):
+                opt.zero_grad()
+                (F.embedding_lookup(params[0], idx).sum() + (params[1] * 2.0).sum()).backward()
+                opt.clip_grad_norm(1.0)
+                opt.step()
+            _assert_bitwise(ref_opt, flat_opt, f"at step {step}")
+
+    def test_padding_only_batch_repoints_the_table(self):
+        """A row table whose only lookups are padding has a gradient but
+        no live rows: like ``Adam``, the step still re-points it at a
+        fresh array and bumps its version, leaving earlier arrays
+        untouched."""
+        legs = [_make_sparse_params(4) for _ in range(2)]
+        ref_opt, flat_opt = Adam(legs[0], lr=1e-2), FlatAdam(legs[1], lr=1e-2)
+        assert 0 in flat_opt._tables
+        pad = np.zeros((3, 4), dtype=np.int64)
+        for step in range(2):
+            for params, opt in zip(legs, (ref_opt, flat_opt)):
+                opt.zero_grad()
+                F.embedding_lookup(params[0], pad, padding_idx=0).sum().backward()
+                assert isinstance(params[0].grad, RowSparseGrad)
+                before, version = params[0].data, params[0]._version
+                opt.step()
+                assert params[0].data is not before
+                assert params[0]._version == version + 1
+            assert not flat_opt._tables[0].rows.size
+            assert legs[1][0]._version == legs[0][0]._version
+            _assert_bitwise(ref_opt, flat_opt, f"at step {step}")
 
     @pytest.mark.parametrize("via", ["step", "step_flat"])
     def test_load_state_dict_with_negative_zero_moments(self, via):
@@ -529,9 +607,10 @@ class TestFlatAdamBitwise:
                 assert np.array_equal(fp.data, rp.data), (
                     f"param {i} diverged at step {step}"
                 )
-        for rm, fm in zip(ref_opt._m, flat_opt._m):
+        ref_state, flat_state = ref_opt.state_dict(), flat_opt.state_dict()
+        for rm, fm in zip(ref_state["m"], flat_state["m"]):
             assert np.array_equal(fm, rm)
-        for rv, fv in zip(ref_opt._v, flat_opt._v):
+        for rv, fv in zip(ref_state["v"], flat_state["v"]):
             assert np.array_equal(fv, rv)
 
     def test_state_dict_interop(self):
@@ -626,7 +705,7 @@ class TestModelLevelEquivalence:
                 loss = weighted_bce_loss(pos, neg, batch.target_mask, temperature=1.0)
                 loss.backward()
             losses.append(float(loss.data))
-            grads.append([p.grad for p in model.parameters()])
+            grads.append([None if p.grad is None else dense_grad(p.grad) for p in model.parameters()])
         assert losses[1] == losses[0], "model-level kernel loss is not bitwise"
         for i, (rg, fg) in enumerate(zip(*grads)):
             if rg is None:

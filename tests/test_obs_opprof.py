@@ -7,12 +7,17 @@ closures actually invoked, durations are non-negative, and the hook is
 gone the moment the context exits (nesting restores the outer one).
 """
 
+import contextlib
+import time
+
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor, set_op_profiler
-from repro.obs import OpProfile, OpStat, op_profile, observability, span
+from repro.obs import OpProfile, OpStat, op_profile, observability, perf_counter, span
+from repro.obs.opprof import GLUE
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +85,29 @@ class TestAttribution:
         # Both ops attributed, one per stage; counts stay exact.
         assert prof.forward["Tensor.__mul__"].calls == 1
         assert prof.forward["Tensor.sum"].calls == 1
+
+
+class TestGlue:
+    @pytest.mark.parametrize("enabled", [False, True], ids=["obs-off", "obs-on"])
+    def test_time_before_a_span_is_glue_not_the_next_op(self, enabled):
+        """A sleep, then a span holding one embedding lookup and its
+        backward: the sleep lands in ``<glue>``, the lookup reads its
+        own cost, and every row together covers the traced window."""
+        weight = Tensor(np.ones((50, 4), dtype=np.float32), requires_grad=True)
+        switch = observability() if enabled else contextlib.nullcontext()
+        with switch:
+            start = perf_counter()
+            with op_profile() as prof:
+                time.sleep(0.05)
+                with span("stage"):
+                    out = F.embedding_lookup(weight, np.array([[1, 2, 3]]))
+                out.sum().backward()
+                end = perf_counter()
+        assert prof.forward[GLUE].total_s >= 0.05
+        assert prof.forward["embedding_lookup"].calls == 1
+        assert prof.forward["embedding_lookup"].total_s < 0.01
+        rows = prof.total_forward_s() + prof.total_backward_s()
+        assert end - start - 0.005 < rows <= end - start
 
 
 class TestInstallation:

@@ -32,6 +32,7 @@ from repro.data.sequences import partition
 from repro.eval.metrics import target_ranks
 from repro.eval.protocol import evaluate
 from repro.nn import functional as F
+from repro.nn.rowsparse import dense_grad
 from repro.nn import fused
 from repro.nn.tensor import Tensor, no_grad
 
@@ -261,7 +262,7 @@ def train_step(model, src, times, targets, negatives):
     pos, neg = model.forward_train(src, times, targets, negatives)
     loss = weighted_bce_loss(pos, neg, targets != 0)
     loss.backward()
-    grads = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+    grads = [None if p.grad is None else dense_grad(p.grad).copy() for p in model.parameters()]
     states = [g.bit_generator.state for g in dropout_generators(model)]
     return pos.data, neg.data, float(loss.data), grads, states
 

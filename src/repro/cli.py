@@ -397,35 +397,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    from .lint import main as lint_main
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.explain:
-        argv.extend(["--explain", args.explain])
-    if args.quiet:
-        argv.append("--quiet")
-    if args.changed:
-        argv.append("--changed")
-    if args.changed_base:
-        argv.extend(["--changed-base", args.changed_base])
-    if args.fix:
-        argv.append("--fix")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.json:
-        argv.extend(["--json", args.json])
-    if args.sarif:
-        argv.extend(["--sarif", args.sarif])
-    return lint_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="STiSAN reproduction toolkit"
@@ -571,27 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry-out", help="write training telemetry JSONL")
     p.set_defaults(func=cmd_profile, epochs=1, quiet=True)
 
-    p = sub.add_parser("check", help="run the repo-specific static lint pass")
-    p.add_argument("paths", nargs="*", default=["src"])
-    p.add_argument("--list-rules", action="store_true")
-    p.add_argument("--explain", metavar="RULE-ID", default=None)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--changed", action="store_true",
-                   help="lint only git-changed files plus their importers")
-    p.add_argument("--changed-base", metavar="REF", default=None,
-                   help="diff base ref for --changed (implies --changed)")
-    p.add_argument("--fix", action="store_true",
-                   help="apply mechanical fixes and re-lint")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--no-baseline", action="store_true")
-    p.add_argument("--write-baseline", action="store_true")
-    p.add_argument("--json", metavar="PATH", default=None)
-    p.add_argument("--sarif", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_check)
+    # Listed for --help only: main() hands everything after "check" to
+    # repro.lint's own parser before this one runs.
+    sub.add_parser("check", add_help=False,
+                   help="run the repo-specific static lint pass "
+                   "(same arguments as python -m repro.lint)")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["check"]:
+        from .lint import main as lint_main
+
+        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

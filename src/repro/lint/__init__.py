@@ -1,4 +1,4 @@
-"""``repro.lint`` — whole-program static analysis for the autograd substrate.
+"""``repro.lint`` — static analysis for the autograd substrate.
 
 The reproduction stands on a hand-written numpy autograd engine; a
 single silently-wrong backward or a stray float64 corrupts every
@@ -13,14 +13,12 @@ protocol):
 * semantic rules (:mod:`repro.lint.rules_semantic`) run real program
   analyses — per-function control-flow graphs (:mod:`repro.lint.cfg`),
   a forward dataflow fixpoint engine (:mod:`repro.lint.dataflow`), a
-  float64 taint lattice (:mod:`repro.lint.taint`) and a project-wide
-  symbol/import index (:mod:`repro.lint.symbols`).
+  float64 taint lattice (:mod:`repro.lint.taint`) and a per-module
+  symbol/import table (:mod:`repro.lint.symbols`).
 
-The engine (:mod:`repro.lint.engine`) adds a content-hash findings
-cache, a checked-in baseline for grandfathered violations
-(:mod:`repro.lint.baseline`), SARIF 2.1.0 export
-(:mod:`repro.lint.sarif`), git-scoped ``--changed`` runs and mechanical
-``--fix`` rewrites (:mod:`repro.lint.autofix`); the CLI is
+The engine (:mod:`repro.lint.engine`) reads and parses every file, runs
+the rules, and subtracts a checked-in baseline of grandfathered
+violations (:mod:`repro.lint.baseline`); the CLI is
 ``python -m repro.lint`` / ``repro check``.
 
 The runtime counterpart — NaN/Inf detection the moment a value is
@@ -28,15 +26,13 @@ produced — lives in :mod:`repro.nn.anomaly`.
 """
 
 from .baseline import Baseline, BaselineEntry
-from .cache import AnalysisCache
 from .cfg import CFG, build_cfg
 from .dataflow import Definition, FixpointResult, ForwardAnalysis, ReachingDefinitions
 from .engine import LintRun, lint_paths, main, run_lint
 from .findings import Finding, Suppression, SuppressionIndex
 from .opcheck import op_inventory
 from .rules import REGISTRY, ModuleInfo, Rule, SyntacticFloat64Rule, register
-from .sarif import findings_from_sarif, to_sarif
-from .symbols import ModuleSymbols, ProjectIndex
+from .symbols import ModuleSymbols
 from .taint import ModuleTaint, Taint
 
 __all__ = [
@@ -59,13 +55,9 @@ __all__ = [
     "ReachingDefinitions",
     "Definition",
     "ModuleSymbols",
-    "ProjectIndex",
     "ModuleTaint",
     "Taint",
     "SyntacticFloat64Rule",
     "Baseline",
     "BaselineEntry",
-    "AnalysisCache",
-    "to_sarif",
-    "findings_from_sarif",
 ]

@@ -5,44 +5,34 @@ Usage
     python -m repro.lint [paths...]            # default: src
     python -m repro.lint --list-rules          # registry with metadata
     python -m repro.lint --explain REPRO-F64   # one rule, in depth
-    python -m repro.lint --changed             # only git-changed files
-                                               # plus their importers
-    python -m repro.lint --json out.json --sarif out.sarif
+    python -m repro.lint --json out.json       # also write findings as JSON
     python -m repro.lint --write-baseline      # grandfather current findings
-    python -m repro.lint --fix                 # apply mechanical fixes
-    repro check [paths...]                     # same engine via the main CLI
+    repro check [args...]                      # the same CLI, arguments as-is
 
 Exit status is 0 when no findings survive suppression + baseline
 filtering, 1 otherwise, 2 on usage errors — tier-1 tests and CI both
 gate on it.
 
-Pipeline per run: discover files → parse → build the project symbol
-index → per file, replay cached findings on a content-hash hit or run
-every applicable rule (inline suppressions filtered here) → aggregate →
-subtract the checked-in baseline → report.
+Pipeline per run: discover and read files → parse each → run every
+applicable rule (inline suppressions filtered here) → subtract the
+checked-in baseline → report.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import opcheck  # noqa: F401  (imported for its rule registrations)
 from . import rules_semantic  # noqa: F401  (dataflow rule registrations)
-from .autofix import fix_source
 from .baseline import BASELINE_FILENAME, Baseline
-from .cache import CACHE_FILENAME, AnalysisCache, schema_digest
 from .findings import Finding
 from .rules import REGISTRY, ModuleInfo
-from .sarif import write_sarif
-from .symbols import ProjectIndex, module_dotted_name
 
 GRADCHECK_RELPATH = Path("tests") / "test_nn_gradcheck.py"
 
@@ -76,7 +66,7 @@ def find_gradcheck_file(paths: Sequence[Path]) -> Optional[Path]:
 
 def find_repo_root(paths: Sequence[Path]) -> Optional[Path]:
     """Nearest ancestor of the lint targets carrying a root marker.
-    None (no cache, no baseline) for bare scratch directories."""
+    None (no baseline) for bare scratch directories."""
     seen = set()
     for start in paths:
         start = start.resolve()
@@ -130,19 +120,14 @@ class LintRun:
     files_checked: int = 0
     root: Optional[Path] = None
     elapsed: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     baseline_suppressed: int = 0
     stale_baseline: List[str] = field(default_factory=list)
-    #: display path -> suppression comment lines that silenced nothing.
-    unused_suppressions: Dict[str, List[int]] = field(default_factory=dict)
-    #: display path -> real path, for --fix and baseline fingerprints.
+    #: display path -> real path (for baseline fingerprints).
     paths: Dict[str, Path] = field(default_factory=dict)
-    #: display path -> source text (for baseline fingerprints / fixes).
+    #: display path -> source text (for baseline fingerprints).
     sources: Dict[str, str] = field(default_factory=dict)
     #: findings before baseline subtraction (for --write-baseline).
     pre_baseline: List[Finding] = field(default_factory=list)
-    changed_selected: Optional[int] = None
 
 
 def _display(file_path: Path) -> str:
@@ -152,43 +137,31 @@ def _display(file_path: Path) -> str:
         return str(file_path)
 
 
-def _git_changed(root: Path, base: Optional[str] = None) -> Optional[Set[Path]]:
-    """Python files changed vs HEAD plus untracked ones; None when git
-    is unavailable (caller falls back to a full run).  With ``base``
-    (e.g. ``origin/main``), committed changes since the merge base are
-    included too — the PR-scoped CI mode, where the worktree is clean."""
-    changed: Set[Path] = set()
-    cmds = [
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    if base:
-        cmds.insert(0, ["git", "diff", "--name-only", f"{base}...HEAD"])
-    for cmd in cmds:
-        try:
-            proc = subprocess.run(
-                cmd, cwd=root, capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        for line in proc.stdout.splitlines():
-            line = line.strip()
-            if line.endswith(".py"):
-                changed.add((root / line).resolve())
-    return changed
+def _check_module(module: ModuleInfo) -> List[Finding]:
+    """Every applicable rule's findings for one module, minus those an
+    inline comment suppresses (``REPRO-SUP`` cannot be suppressed)."""
+    findings: List[Finding] = []
+    for rule in REGISTRY:
+        if not rule.applies_to(module):
+            continue
+        severity = rule_severity(rule)
+        for finding in rule.check(module):
+            if finding.severity == "error" and severity != "error":
+                finding = replace(finding, severity=severity)
+            if finding.rule_id != "REPRO-SUP" and module.suppressions.is_suppressed(
+                finding
+            ):
+                continue
+            findings.append(finding)
+    return findings
 
 
 def run_lint(
     paths: Sequence[Path],
     gradcheck_path: Optional[Path] = None,
     *,
-    use_cache: bool = True,
     use_baseline: bool = True,
     baseline_path: Optional[Path] = None,
-    changed_only: bool = False,
-    changed_base: Optional[str] = None,
 ) -> LintRun:
     """The full engine pipeline; :func:`lint_paths` is the thin wrapper
     returning only the finding list."""
@@ -199,135 +172,35 @@ def run_lint(
     if gradcheck_path is None:
         gradcheck_path = find_gradcheck_file(paths)
     covered = None
-    gradcheck_digest = "none"
     if gradcheck_path is not None and gradcheck_path.is_file():
         text = gradcheck_path.read_text(encoding="utf-8")
         covered = frozenset(opcheck.gradcheck_names(text))
-        gradcheck_digest = hashlib.sha256(
-            "\n".join(sorted(covered)).encode("utf-8")
-        ).hexdigest()[:16]
 
-    cache: Optional[AnalysisCache] = None
-    if use_cache and run.root is not None:
-        schema = schema_digest([r.rule_id for r in REGISTRY], gradcheck_digest)
-        cache = AnalysisCache.load(run.root / CACHE_FILENAME, schema)
-
-    # -- discover + read everything; parse lazily.  Every analysis is
-    # intra-module, so a content-hash cache hit replays findings with no
-    # parse at all; only --changed needs the full import graph (and so
-    # parses everything to build it).
-    files = list(iter_python_files(paths))
-    sources: Dict[Path, str] = {}
-    parse_failures: List[Finding] = []
-    for file_path in files:
+    all_findings: List[Finding] = []
+    # dict.fromkeys: overlapping path arguments lint each file once.
+    for file_path in dict.fromkeys(iter_python_files(paths)):
         display = _display(file_path)
         run.paths[display] = file_path
         try:
-            sources[file_path] = file_path.read_text(encoding="utf-8")
-            run.sources[display] = sources[file_path]
+            source = file_path.read_text(encoding="utf-8")
         except OSError as exc:
-            parse_failures.append(
+            all_findings.append(
                 Finding(display, 1, "REPRO-SYNTAX", f"unreadable file: {exc}")
             )
-
-    def parse(file_path: Path) -> Optional[ModuleInfo]:
-        display = _display(file_path)
+            continue
+        run.files_checked += 1
+        run.sources[display] = source
         try:
-            module = ModuleInfo.parse(
-                file_path, source=sources[file_path], display=display
-            )
+            module = ModuleInfo.parse(file_path, source=source, display=display)
         except SyntaxError as exc:
-            parse_failures.append(
+            all_findings.append(
                 Finding(
                     display, exc.lineno or 1, "REPRO-SYNTAX", f"syntax error: {exc.msg}"
                 )
             )
-            return None
+            continue
         module.gradcheck_names = covered
-        return module
-
-    # -- --changed: select edited files plus their transitive importers
-    # (requires the whole-program import graph, hence a full parse).
-    selected: Optional[Set[Path]] = None
-    if changed_only and run.root is not None:
-        git_files = _git_changed(run.root, changed_base)
-        if git_files is not None:
-            modules = [m for m in map(parse, sources) if m is not None]
-            project = ProjectIndex.build(modules)
-            for module in modules:
-                module.symbols = project.for_path(module.path)
-                module.project = project
-            known = {m.path.resolve() for m in modules}
-            seeds = {
-                module_dotted_name(p) for p in git_files if p in known
-            } - {None}
-            closure = project.importers_closure(seeds)  # type: ignore[arg-type]
-            selected = {
-                m.path.resolve()
-                for m in modules
-                if (module_dotted_name(m.path) in closure)
-                or m.path.resolve() in git_files
-            }
-            run.changed_selected = len(selected)
-            parsed_by_path = {m.path: m for m in modules}
-    else:
-        parsed_by_path = {}
-
-    # -- per-file rule dispatch (cache-aware)
-    all_findings: List[Finding] = []
-    for file_path, source in sources.items():
-        if selected is not None and file_path.resolve() not in selected:
-            continue
-        display = _display(file_path)
-        run.files_checked += 1
-        cache_key = str(file_path.resolve())
-        if cache is not None:
-            hit = cache.get(cache_key, source)
-            if hit is not None:
-                cached_findings, unused = hit
-                all_findings.extend(
-                    replace(f, path=display) for f in cached_findings
-                )
-                if unused:
-                    run.unused_suppressions[display] = unused
-                continue
-        module = parsed_by_path.get(file_path) or parse(file_path)
-        if module is None:
-            continue
-        file_findings: List[Finding] = []
-        used_lines: Set[int] = set()
-        for rule in REGISTRY:
-            if not rule.applies_to(module):
-                continue
-            severity = rule_severity(rule)
-            for finding in rule.check(module):
-                if finding.severity == "error" and severity != "error":
-                    finding = replace(finding, severity=severity)
-                if finding.rule_id != "REPRO-SUP" and module.suppressions.is_suppressed(
-                    finding
-                ):
-                    used_lines.add(finding.line)
-                    continue
-                file_findings.append(finding)
-        unused = [
-            s.line
-            for s in module.suppressions.all()
-            if s.line not in used_lines
-        ]
-        if unused:
-            run.unused_suppressions[display] = unused
-        all_findings.extend(file_findings)
-        if cache is not None:
-            cache.put(cache_key, source, file_findings, unused)
-
-    all_findings.extend(parse_failures)
-    if cache is not None:
-        # Note: entries for deleted files are left behind deliberately —
-        # a lint run scoped to a subdirectory must not evict entries for
-        # files outside its path set, and any schema bump clears all.
-        cache.save()
-        run.cache_hits = cache.hits
-        run.cache_misses = cache.misses
+        all_findings.extend(_check_module(module))
 
     run.pre_baseline = sorted(all_findings)
 
@@ -340,10 +213,7 @@ def run_lint(
             result = baseline.filter(findings, run.root, run.sources, run.paths)
             findings = result.kept
             run.baseline_suppressed = result.suppressed
-            # Staleness is only meaningful when every file was linted; a
-            # --changed run legitimately skips files with baselined hits.
-            if selected is None:
-                run.stale_baseline = result.stale
+            run.stale_baseline = result.stale
     run.findings = sorted(findings)
     run.elapsed = time.perf_counter() - started
     return run
@@ -353,9 +223,7 @@ def lint_paths(
     paths: Sequence[Path],
     gradcheck_path: Optional[Path] = None,
     *,
-    use_cache: bool = True,
     use_baseline: bool = True,
-    changed_only: bool = False,
 ) -> List[Finding]:
     """Run every registered rule over ``paths`` and return live findings.
 
@@ -365,13 +233,7 @@ def lint_paths(
     the repo baseline (``.repro-lint-baseline.json`` at the discovered
     repo root) are also dropped; everything else survives.
     """
-    return run_lint(
-        paths,
-        gradcheck_path,
-        use_cache=use_cache,
-        use_baseline=use_baseline,
-        changed_only=changed_only,
-    ).findings
+    return run_lint(paths, gradcheck_path, use_baseline=use_baseline).findings
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write findings as a JSON array to PATH",
     )
     parser.add_argument(
-        "--sarif", metavar="PATH", default=None,
-        help="also write findings as a SARIF 2.1.0 document to PATH",
-    )
-    parser.add_argument(
         "--baseline", metavar="PATH", default=None,
         help=f"baseline file (default: <repo root>/{BASELINE_FILENAME})",
     )
@@ -421,24 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline", action="store_true",
         help="absorb all current findings into the baseline file and exit "
         "(existing justifications are preserved)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash findings cache",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only git-changed files plus their transitive importers",
-    )
-    parser.add_argument(
-        "--changed-base", metavar="REF", default=None,
-        help="with --changed, also include files committed since the "
-        "merge base with REF (e.g. origin/main); implies --changed",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical fixes (unused suppressions, dtype pins, "
-        "astype copy=False) and re-lint",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress the summary line"
@@ -477,32 +317,6 @@ def _print_explain(rule_id: str) -> int:
     return 0
 
 
-def _apply_fixes(run: LintRun, quiet: bool) -> int:
-    """Apply mechanical fixes from ``run``; returns files changed."""
-    by_file: Dict[str, List[Finding]] = {}
-    for finding in run.findings:
-        by_file.setdefault(finding.path, []).append(finding)
-    touched = 0
-    for display in sorted(set(by_file) | set(run.unused_suppressions)):
-        real = run.paths.get(display)
-        source = run.sources.get(display)
-        if real is None or source is None:
-            continue
-        outcome = fix_source(
-            real,
-            source,
-            by_file.get(display, []),
-            run.unused_suppressions.get(display, []),
-        )
-        if outcome.changed:
-            real.write_text(outcome.source, encoding="utf-8")
-            touched += 1
-            if not quiet:
-                for note in outcome.applied:
-                    print(f"repro.lint: fixed {note}")
-    return touched
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -518,18 +332,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gradcheck = Path(args.gradcheck_file) if args.gradcheck_file else None
     baseline_path = Path(args.baseline) if args.baseline else None
 
-    def _run(use_cache: bool = not args.no_cache) -> LintRun:
-        return run_lint(
-            paths,
-            gradcheck_path=gradcheck,
-            use_cache=use_cache,
-            use_baseline=not args.no_baseline and not args.write_baseline,
-            baseline_path=baseline_path,
-            changed_only=args.changed or args.changed_base is not None,
-            changed_base=args.changed_base,
-        )
-
-    run = _run()
+    run = run_lint(
+        paths,
+        gradcheck_path=gradcheck,
+        use_baseline=not args.no_baseline and not args.write_baseline,
+        baseline_path=baseline_path,
+    )
 
     if args.write_baseline:
         root = run.root or Path.cwd()
@@ -549,14 +357,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0
 
-    if args.fix:
-        touched = _apply_fixes(run, args.quiet)
-        if touched:
-            # Re-lint from scratch: fixes may have resolved findings.
-            run = _run()
-            if not args.quiet:
-                print(f"repro.lint: {touched} file(s) fixed, re-linted")
-
     for finding in run.findings:
         print(finding.format())
 
@@ -565,8 +365,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dumps([f.to_dict() for f in run.findings], indent=2) + "\n",
             encoding="utf-8",
         )
-    if args.sarif:
-        write_sarif(Path(args.sarif), run.findings, list(REGISTRY))
 
     if run.stale_baseline and not args.quiet:
         print(
@@ -578,19 +376,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.quiet:
         status = "ok" if not run.findings else f"{len(run.findings)} finding(s)"
-        cache_note = ""
-        if run.cache_hits or run.cache_misses:
-            cache_note = f", cache {run.cache_hits}/{run.cache_hits + run.cache_misses} hits"
         baseline_note = (
             f", {run.baseline_suppressed} baselined" if run.baseline_suppressed else ""
         )
-        scope_note = (
-            f", {run.files_checked} of {len(run.paths)} selected (--changed)"
-            if run.changed_selected is not None
-            else ""
-        )
         print(
             f"repro.lint: {run.files_checked} file(s) checked, {status} "
-            f"({run.elapsed:.2f}s{cache_note}{baseline_note}{scope_note})"
+            f"({run.elapsed:.2f}s{baseline_note})"
         )
     return 1 if run.findings else 0

@@ -51,8 +51,8 @@ class Finding:
     line: int
     rule_id: str
     message: str
-    #: "error" gates CI; "warning" is reported (and still gates) but maps
-    #: to SARIF level "warning"; "info" maps to "note".
+    #: "error", "warning" or "info"; every live finding gates, the
+    #: severity only tags the printed line and the JSON record.
     severity: str = "error"
 
     def format(self) -> str:

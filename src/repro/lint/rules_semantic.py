@@ -21,7 +21,7 @@ REPRO-GRAD-CAPTURE backward closures capturing a variable rebound or
 REPRO-GRAD-VERSION ``self.data`` writes that skip the version-counter
                    discipline the anomaly sanitizer relies on
 REPRO-ASTYPE-COPY  gradient-path ``astype(np.float32)`` without
-                   ``copy=False`` (mechanical; ``repro check --fix``)
+                   ``copy=False``
 =================  ===================================================
 
 Adding a family: subclass nothing — implement the :class:`Rule`
@@ -57,14 +57,13 @@ __all__ = [
     "BackwardCaptureRule",
     "DataVersionDisciplineRule",
     "AstypeCopyRule",
-    "BackendDispatchRule",
     "module_symbols",
 ]
 
 
 def module_symbols(module: ModuleInfo) -> ModuleSymbols:
-    """The module's symbol table — reuse the engine-attached one when a
-    project index was built, else index this module standalone."""
+    """The module's symbol table, indexed on first use and memoised on
+    ``module`` so every rule shares one walk."""
     syms = getattr(module, "symbols", None)
     if syms is None:
         syms = index_module(module.tree, module.path)
@@ -768,8 +767,7 @@ class AstypeCopyRule:
     description = (
         "astype(np.float32) inside a backward closure copies even when "
         "the gradient is already float32; pass copy=False so the "
-        "already-correct dtype is a no-op view (autofixable with "
-        "repro check --fix)."
+        "already-correct dtype is a no-op view."
     )
     severity = "warning"
     family = "dtype"
@@ -798,8 +796,7 @@ class AstypeCopyRule:
                         _finding(
                             module, node.lineno, self.rule_id,
                             "astype(np.float32) in a backward closure without "
-                            "copy=False always copies; pass copy=False "
-                            "(autofixable via repro check --fix)",
+                            "copy=False always copies; pass copy=False",
                             self.severity,
                         )
                     )

@@ -1,22 +1,16 @@
-"""Project-wide symbol table and import/call graph.
+"""Per-module symbol table.
 
-One :class:`ProjectIndex` is built per lint run from every parsed
-module.  It gives the semantic rules the whole-program context the old
-per-node pass lacked:
+The semantic rules index each module once (see
+:func:`repro.lint.rules_semantic.module_symbols`) for the context a
+per-node pass lacks:
 
 * canonical import resolution (``np`` → ``numpy``, ``Tensor`` →
   ``repro.nn.tensor.Tensor``, relative imports resolved against the
   importing module's dotted path);
-* per-module top-level symbols — functions, classes, and module-level
-  globals with a mutability classification (the shared-state rule's
-  ground truth);
-* a best-effort call graph between project functions (used to order
-  intra-module taint summaries and exposed for tooling);
-* the reverse import graph (``--changed`` mode lints the transitive
-  importers of an edited file, not just the file itself).
+* top-level symbols — functions, classes, and module-level globals with
+  a mutability classification (the shared-state rule's ground truth).
 
-Everything here is syntactic and cheap — one walk per module — so the
-index can be rebuilt on every run while per-file *findings* stay cached.
+Everything here is syntactic and cheap: one walk per module.
 """
 
 from __future__ import annotations
@@ -24,9 +18,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-__all__ = ["ModuleSymbols", "ProjectIndex", "module_dotted_name"]
+__all__ = ["ModuleSymbols", "index_module", "module_dotted_name"]
 
 #: Call targets that build mutable containers.
 _MUTABLE_BUILDERS = {
@@ -164,82 +158,3 @@ def index_module(tree: ast.Module, path: Path) -> ModuleSymbols:
                         name=target.id, lineno=node.lineno, mutable=_is_mutable_value(value)
                     )
     return syms
-
-
-class ProjectIndex:
-    """All modules of one lint run, cross-referenced."""
-
-    def __init__(self) -> None:
-        self.modules: Dict[str, ModuleSymbols] = {}
-        self.by_path: Dict[Path, ModuleSymbols] = {}
-
-    @classmethod
-    def build(cls, parsed: List) -> "ProjectIndex":
-        """``parsed`` is a list of objects with ``.tree`` and ``.path``
-        (duck-typed so :class:`repro.lint.rules.ModuleInfo` works)."""
-        index = cls()
-        for info in parsed:
-            index.add(info.tree, Path(info.path))
-        return index
-
-    def add(self, tree: ast.Module, path: Path) -> ModuleSymbols:
-        syms = index_module(tree, path)
-        if syms.module:
-            self.modules[syms.module] = syms
-        self.by_path[path.resolve()] = syms
-        return syms
-
-    def for_path(self, path: Path) -> Optional[ModuleSymbols]:
-        return self.by_path.get(Path(path).resolve())
-
-    # -- import graph ---------------------------------------------------
-
-    def import_edges(self) -> Dict[str, Set[str]]:
-        """module -> set of *project* modules it imports."""
-        edges: Dict[str, Set[str]] = {}
-        known = set(self.modules)
-        for name, syms in self.modules.items():
-            targets: Set[str] = set()
-            for canonical in syms.imports.values():
-                # "repro.nn.tensor.Tensor" imports module "repro.nn.tensor";
-                # trim trailing attribute components until a module matches.
-                probe = canonical
-                while probe and probe not in known:
-                    probe = probe.rpartition(".")[0]
-                if probe and probe != name:
-                    targets.add(probe)
-            edges[name] = targets
-        return edges
-
-    def importers_closure(self, seeds: Set[str]) -> Set[str]:
-        """Seeds plus every module that (transitively) imports one."""
-        reverse: Dict[str, Set[str]] = {}
-        for src, targets in self.import_edges().items():
-            for dst in targets:
-                reverse.setdefault(dst, set()).add(src)
-        out = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            module = frontier.pop()
-            for importer in reverse.get(module, ()):
-                if importer not in out:
-                    out.add(importer)
-                    frontier.append(importer)
-        return out
-
-    # -- call graph -----------------------------------------------------
-
-    def call_graph(self) -> Dict[str, Set[str]]:
-        """Best-effort project call graph: ``module.qualname`` →
-        resolved callee dotted names (project and external)."""
-        edges: Dict[str, Set[str]] = {}
-        for name, syms in self.modules.items():
-            for qualname, fn in syms.functions.items():
-                callees: Set[str] = set()
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call):
-                        resolved = syms.resolve(_dotted(node.func))
-                        if resolved:
-                            callees.add(resolved)
-                edges[f"{name}.{qualname}" if name else qualname] = callees
-        return edges

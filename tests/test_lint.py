@@ -590,8 +590,25 @@ class TestEngineAndCli:
 
     def test_repro_check_subcommand(self, tmp_path):
         bad = write_scratch(tmp_path, "import torch\n")
+        clean = write_scratch(tmp_path, "import numpy as np\n", rel="src/repro/nn/ok.py")
         assert cli_main(["check", str(bad), "--quiet"]) == 1
-        assert cli_main(["check", str(SRC), "--quiet"]) == 0
+        assert cli_main(["check", str(clean), "--quiet"]) == 0
+        # a leading option reaches repro.lint's parser too
+        assert cli_main(["check", "--list-rules"]) == 0
+
+    def test_repro_check_forwards_baseline_and_gradcheck_flags(self, tmp_path, capsys):
+        (tmp_path / "pyproject.toml").write_text("[project]\nname='scratch'\n")
+        bad = write_scratch(tmp_path, "import torch\n")
+        baseline = tmp_path / "elsewhere.json"
+        gradcheck = tmp_path / "test_gradcheck.py"
+        gradcheck.write_text("")
+        flags = ["--baseline", str(baseline), "--gradcheck-file", str(gradcheck)]
+        assert cli_main(["check", str(bad), "--write-baseline", *flags]) == 0
+        assert baseline.is_file()
+        capsys.readouterr()
+        # the finding is absorbed only through the forwarded --baseline path
+        assert cli_main(["check", str(bad), "--quiet", *flags]) == 0
+        assert cli_main(["check", str(bad), "--quiet"]) == 1
 
     @pytest.mark.slow  # spawns a fresh python -m repro.lint subprocess
     def test_module_invocation_all_violation_classes(self, tmp_path):

@@ -1,15 +1,13 @@
 """Tests for the dataflow analysis framework and the semantic rule
 families: CFG construction, the fixpoint engine, the taint lattice, the
-project symbol index, golden findings on the vendored corpus, the
-old-vs-new REPRO-F64 comparison, the baseline, the incremental cache,
-SARIF export, and the CLI surface (--fix/--changed/--explain/...)."""
+per-module symbol table, golden findings on the vendored corpus, the
+old-vs-new REPRO-F64 comparison, the baseline, JSON export, and the CLI
+surface (--explain/--list-rules/...)."""
 
 from __future__ import annotations
 
 import ast
 import json
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -17,15 +15,13 @@ import pytest
 
 from repro.lint import lint_paths
 from repro.lint.baseline import Baseline, BASELINE_FILENAME
-from repro.lint.cache import AnalysisCache, schema_digest
 from repro.lint.cfg import build_cfg
 from repro.lint.dataflow import Definition, ReachingDefinitions
 from repro.lint.engine import main, run_lint
 from repro.lint.findings import Finding
 from repro.lint.rules import REGISTRY, ModuleInfo, SyntacticFloat64Rule
 from repro.lint.rules_semantic import DtypeTaintRule
-from repro.lint.sarif import findings_from_sarif, to_sarif
-from repro.lint.symbols import ProjectIndex, index_module, module_dotted_name
+from repro.lint.symbols import index_module, module_dotted_name
 from repro.lint.taint import CLEAN, F64, ModuleTaint, Taint
 
 CORPUS = Path(__file__).parent / "lint_corpus"
@@ -41,7 +37,7 @@ def _parse_fn(source: str) -> ast.FunctionDef:
 
 def write_project(tmp_path: Path, files: dict) -> Path:
     """A scratch project with a root marker so the engine discovers a
-    root (cache + baseline land inside tmp_path, not the real repo)."""
+    root (the baseline lands inside tmp_path, not the real repo)."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname='scratch'\n")
     for rel, source in files.items():
         path = tmp_path / rel
@@ -285,7 +281,7 @@ class TestTaint:
 
 
 # ---------------------------------------------------------------------------
-# Symbols / project index
+# Symbols
 # ---------------------------------------------------------------------------
 
 
@@ -316,23 +312,6 @@ class TestSymbols:
         assert not syms.globals["B"].mutable
         assert syms.globals["C"].mutable
 
-    def test_importers_closure(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/nn/base.py": "X = 1\n",
-                "src/repro/nn/mid.py": "from repro.nn.base import X\n",
-                "src/repro/core/top.py": "from repro.nn.mid import X\n",
-                "src/repro/core/loose.py": "Y = 2\n",
-            },
-        )
-        infos = [
-            ModuleInfo.parse(p) for p in sorted((root / "src").rglob("*.py"))
-        ]
-        project = ProjectIndex.build(infos)
-        closure = project.importers_closure({"repro.nn.base"})
-        assert closure == {"repro.nn.base", "repro.nn.mid", "repro.core.top"}
-
 
 # ---------------------------------------------------------------------------
 # Golden corpus
@@ -342,7 +321,7 @@ class TestSymbols:
 class TestCorpusGolden:
     def test_expected_findings_exact(self):
         expected = json.loads((CORPUS / "expected.json").read_text())
-        run = run_lint([CORPUS], use_cache=False, use_baseline=False)
+        run = run_lint([CORPUS], use_baseline=False)
         actual: dict = {rel: [] for rel in expected}
         for f in run.findings:
             rel = Path(f.path).resolve().relative_to(CORPUS.resolve()).as_posix()
@@ -353,7 +332,6 @@ class TestCorpusGolden:
     def test_clean_file_has_no_findings(self):
         findings = lint_paths(
             [CORPUS / "src/repro/nn/clean_pinned.py"],
-            use_cache=False,
             use_baseline=False,
         )
         assert findings == []
@@ -420,7 +398,7 @@ class TestBaseline:
     def test_baseline_suppresses_then_goes_stale(self, tmp_path, capsys):
         root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
         src = root / "src"
-        assert len(lint_paths([src], use_cache=False)) == 1
+        assert len(lint_paths([src])) == 1
 
         rc = main(["--write-baseline", str(src)])
         assert rc == 0
@@ -428,7 +406,7 @@ class TestBaseline:
         capsys.readouterr()
 
         # baselined: the gate is green again
-        assert lint_paths([src], use_cache=False) == []
+        assert lint_paths([src]) == []
 
         # fix the violation: the entry is stale, not matching anything
         (root / "src/repro/data/mod.py").write_text(
@@ -442,14 +420,14 @@ class TestBaseline:
                 """
             )
         )
-        run = run_lint([src], use_cache=False)
+        run = run_lint([src])
         assert run.findings == []
         assert len(run.stale_baseline) == 1
 
     def test_fingerprint_survives_line_drift(self, tmp_path):
         root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
         src = root / "src"
-        run = run_lint([src], use_cache=False, use_baseline=False)
+        run = run_lint([src], use_baseline=False)
         baseline = Baseline.from_findings(
             run.pre_baseline, root, run.sources, None, run.paths
         )
@@ -459,12 +437,12 @@ class TestBaseline:
         (root / "src/repro/data/mod.py").write_text(
             "# a comment\n# another\n" + original
         )
-        assert lint_paths([src], use_cache=False) == []
+        assert lint_paths([src]) == []
 
     def test_new_violation_still_fails(self, tmp_path):
         root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
         src = root / "src"
-        run = run_lint([src], use_cache=False, use_baseline=False)
+        run = run_lint([src], use_baseline=False)
         Baseline.from_findings(
             run.pre_baseline, root, run.sources, None, run.paths
         ).save(root / BASELINE_FILENAME)
@@ -472,7 +450,7 @@ class TestBaseline:
         (root / "src/repro/data/mod.py").write_text(
             original + "\n\ndef g():\n    import time\n    return time.time()\n"
         )
-        findings = lint_paths([src], use_cache=False)
+        findings = lint_paths([src])
         assert {f.rule_id for f in findings} == {
             "REPRO-DET-CLOCK",
             "REPRO-HOTIMPORT",
@@ -480,230 +458,34 @@ class TestBaseline:
 
 
 # ---------------------------------------------------------------------------
-# Incremental cache
-# ---------------------------------------------------------------------------
-
-
-class TestCache:
-    def _project(self, tmp_path) -> Path:
-        files = {}
-        for i in range(8):
-            files[f"src/repro/nn/mod{i}.py"] = f"""
-                import numpy as np
-
-                def op{i}(x, rng):
-                    noise = rng.standard_normal(4, dtype=np.float32)
-                    buf = np.zeros(4, dtype=np.float32)
-                    return x + noise + buf + {i}
-            """
-        return write_project(tmp_path, files)
-
-    def test_warm_run_is_5x_faster_and_identical(self, tmp_path):
-        root = self._project(tmp_path)
-        src = root / "src"
-        cold = run_lint([src])
-        warm = run_lint([src])
-        assert cold.findings == warm.findings
-        assert warm.cache_hits == 8 and warm.cache_misses == 0
-        assert warm.elapsed < cold.elapsed / 5
-
-    def test_content_change_invalidates_one_file(self, tmp_path):
-        root = self._project(tmp_path)
-        src = root / "src"
-        run_lint([src])
-        target = root / "src/repro/nn/mod3.py"
-        target.write_text(
-            target.read_text() + "\n\ndef leak(n):\n    return np.zeros(n)\n"
-        )
-        run = run_lint([src])
-        assert run.cache_misses == 1 and run.cache_hits == 7
-        assert [f.rule_id for f in run.findings] == ["REPRO-F64"]
-        # the new finding itself is now cached
-        again = run_lint([src])
-        assert again.cache_misses == 0
-        assert again.findings == run.findings
-
-    def test_schema_change_invalidates_everything(self, tmp_path):
-        root = self._project(tmp_path)
-        src = root / "src"
-        run_lint([src])
-        cache_file = root / ".repro-lint-cache.json"
-        assert cache_file.is_file()
-        old_schema = schema_digest([r.rule_id for r in REGISTRY], "none")
-        loaded = AnalysisCache.load(cache_file, old_schema)
-        assert len(loaded.entries) == 8
-        # a different rule set produces a different schema: cold cache
-        new_schema = schema_digest(["REPRO-ONLY-ONE"], "none")
-        reloaded = AnalysisCache.load(cache_file, new_schema)
-        assert reloaded.entries == {}
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        root = self._project(tmp_path)
-        src = root / "src"
-        (root / ".repro-lint-cache.json").write_text("{not json")
-        run = run_lint([src])
-        assert run.cache_hits == 0
-        assert run.findings == []
-
-
-# ---------------------------------------------------------------------------
-# SARIF + JSON export
+# JSON export
 # ---------------------------------------------------------------------------
 
 
 class TestSarif:
-    def _findings(self):
-        return sorted(
-            [
-                Finding("src/repro/nn/a.py", 3, "REPRO-F64", "leak"),
-                Finding(
-                    "src/repro/core/b.py", 9, "REPRO-DET-SEED", "unseeded",
-                    severity="warning",
-                ),
-            ]
-        )
-
-    def test_shape_is_valid_2_1_0(self):
-        doc = to_sarif(self._findings(), list(REGISTRY))
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-2.1.0.json")
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro.lint"
-        rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"REPRO-F64", "REPRO-DET-SEED"} <= rule_ids
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids
-            assert result["level"] in ("error", "warning", "note")
-            location = result["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"]
-            assert location["region"]["startLine"] >= 1
-            # ruleIndex must point at the right descriptor
-            assert driver["rules"][result["ruleIndex"]]["id"] == result["ruleId"]
-
-    def test_round_trips_same_findings_as_json(self):
-        findings = self._findings()
-        doc = to_sarif(findings, list(REGISTRY))
-        assert findings_from_sarif(doc) == findings
-
     def test_cli_exports_agree(self, tmp_path):
         root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
         json_out = root / "out.json"
-        sarif_out = root / "out.sarif"
-        rc = main(
-            [
-                str(root / "src"),
-                "--json", str(json_out),
-                "--sarif", str(sarif_out),
-                "--quiet",
-            ]
-        )
+        rc = main([str(root / "src"), "--json", str(json_out), "--quiet"])
         assert rc == 1
-        from_json = sorted(
-            Finding.from_dict(d) for d in json.loads(json_out.read_text())
-        )
-        from_sarif = findings_from_sarif(json.loads(sarif_out.read_text()))
-        assert from_json == from_sarif
-        assert len(from_json) == 1
+        records = json.loads(json_out.read_text())
+        assert len(records) == 1
+        finding = Finding.from_dict(records[0])
+        assert finding.rule_id == "REPRO-DET-SEED"
+        assert finding.to_dict() == records[0]
+
+
+class TestNoSideEffects:
+    def test_lint_run_creates_no_file(self, tmp_path):
+        root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
+        before = sorted(p for p in root.rglob("*"))
+        assert main([str(root / "src"), "--quiet"]) == 1
+        assert sorted(p for p in root.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------
-# CLI: --fix, --changed, --explain, --list-rules
+# CLI: --explain, --list-rules
 # ---------------------------------------------------------------------------
-
-
-FIXABLE = """
-    import numpy as np
-
-    def op(x):
-        buf = np.zeros(3)
-        y = 1  # repro-lint: disable=REPRO-RNG -- legacy carve-out
-
-        def backward(grad):
-            return grad.astype(np.float32)
-
-        return buf, backward, y
-"""
-
-
-class TestFix:
-    def test_fix_rewrites_and_relints_clean(self, tmp_path, capsys):
-        root = write_project(tmp_path, {"src/repro/nn/mod.py": FIXABLE})
-        rc = main([str(root / "src"), "--fix", "--quiet"])
-        fixed = (root / "src/repro/nn/mod.py").read_text()
-        assert "np.zeros(3, dtype=np.float32)" in fixed
-        assert "grad.astype(np.float32, copy=False)" in fixed
-        assert "repro-lint" not in fixed  # unused suppression stripped
-        assert rc == 0  # clean after fixing
-
-    def test_fix_leaves_used_suppressions(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/nn/mod.py": """
-                import time
-
-                def f():
-                    import numpy  # repro-lint: disable=REPRO-HOTIMPORT -- cycle break
-                    return numpy
-                """
-            },
-        )
-        main([str(root / "src"), "--fix", "--quiet"])
-        assert "repro-lint" in (root / "src/repro/nn/mod.py").read_text()
-
-
-class TestChanged:
-    def test_changed_lints_edits_plus_importers(self, tmp_path, capsys):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/nn/base.py": "X = 1\n",
-                "src/repro/nn/mid.py": "from repro.nn.base import X\nY = X\n",
-                "src/repro/core/other.py": "Z = 3\n",
-            },
-        )
-        git = ["git", "-C", str(root)]
-        subprocess.run([*git, "init", "-q"], check=True)
-        subprocess.run([*git, "add", "."], check=True)
-        subprocess.run(
-            [
-                *git,
-                "-c", "user.email=lint@test", "-c", "user.name=lint",
-                "commit", "-qm", "seed",
-            ],
-            check=True,
-        )
-        # edit base.py: mid.py (importer) must be re-linted, other.py not
-        (root / "src/repro/nn/base.py").write_text(
-            "import numpy as np\nX = np.zeros(3)\n"
-        )
-        run = run_lint([root / "src"], use_cache=False, changed_only=True)
-        assert run.changed_selected == 2
-        assert run.files_checked == 2
-        assert {f.rule_id for f in run.findings} == {"REPRO-F64"}
-
-        # committed + clean worktree: plain --changed sees nothing, but a
-        # base ref recovers the PR-scoped selection (the CI fast job)
-        subprocess.run([*git, "add", "."], check=True)
-        subprocess.run(
-            [
-                *git,
-                "-c", "user.email=lint@test", "-c", "user.name=lint",
-                "commit", "-qm", "edit",
-            ],
-            check=True,
-        )
-        clean = run_lint([root / "src"], use_cache=False, changed_only=True)
-        assert clean.changed_selected == 0
-        based = run_lint(
-            [root / "src"],
-            use_cache=False,
-            changed_only=True,
-            changed_base="HEAD~1",
-        )
-        assert based.changed_selected == 2
-        assert {f.rule_id for f in based.findings} == {"REPRO-F64"}
 
 
 class TestCliSurface:
@@ -741,7 +523,7 @@ def _lint_snippet(tmp_path, rel: str, source: str):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return lint_paths([path], use_cache=False, use_baseline=False)
+    return lint_paths([path], use_baseline=False)
 
 
 class TestDeterminismRules:

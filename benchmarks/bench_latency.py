@@ -8,7 +8,7 @@ factor (it is O(n^2) relation building on top of O(n^2 d) attention).
 
 The serving sweep measures the deployment path: queries-per-second of
 ``RecommendationService.recommend_batch`` across batch sizes with the
-slate/geo/relation caches on.  The numpy engine's per-op overhead makes
+slate/relation caches on.  The numpy engine's per-op overhead makes
 unbatched inference the dominant serving cost, so batching must buy at
 least 3x throughput at batch size 32.
 
@@ -20,23 +20,12 @@ holds ``repro.faults`` to the same bar: installed at zero rates, the
 serving path must stay within 2% of the no-harness baseline.  The
 measured numbers are persisted to the bench results JSON alongside the
 sweep.
-
-The quantized-serving sweep prices the int8/float16 inference path
-(``RecommendationService(quantized=True)``) against float32 on the
-same trained weights and batch-32 workload: per-query latency and
-peak-RSS deltas plus the weight-byte shrink are persisted to
-``benchmarks/results/BENCH_latency.json``, and the run gates on ≥99%
-top-10 slate agreement with the float32 service.
 """
-
-import resource
-import time
 
 from common import (
     banner,
     dataset,
     persist,
-    results_store,
     stisan_config,
     train_config,
 )
@@ -53,7 +42,6 @@ from repro.eval import (
     measure_observability_overhead,
     sweep_service_batches,
 )
-from repro.nn.quantize import quantization_report
 
 MAX_LEN = 32
 
@@ -148,108 +136,6 @@ def test_observability_overhead(benchmark):
     )
 
 
-def _peak_rss_mb() -> float:
-    # ru_maxrss is KiB on Linux; a process-lifetime high-water mark, so
-    # per-leg readings are only meaningful in run order (float32 first).
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def run_quantized_serving():
-    """Float32 vs int8/float16 serving on the same trained weights."""
-    ds = dataset("gowalla")
-    train, _ = partition(ds, n=MAX_LEN)
-    model = make_recommender(
-        "STiSAN", ds, max_len=MAX_LEN, dim=32, seed=0, stisan_config=stisan_config()
-    )
-    model.fit(ds, train, train_config(epochs=1))
-    users = ds.users()[:64]
-    k, rounds = 10, 3
-    legs, slates = {}, {}
-    for name, quantized in (("float32", False), ("quantized", True)):
-        service = RecommendationService(
-            model, ds, max_len=MAX_LEN, num_candidates=100, quantized=quantized
-        )
-        service.recommend_batch(users, k=k)  # warm caches + allocators
-        times = []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            recs = service.recommend_batch(users, k=k)
-            times.append(time.perf_counter() - t0)
-        assert not any(r.degraded for row in recs for r in row), (
-            f"{name} serving leg degraded — the model call failed"
-        )
-        slates[name] = [[r.poi for r in row] for row in recs]
-        best = min(times)
-        legs[name] = {
-            "batch_s": best,
-            "per_query_ms": best / len(users) * 1e3,
-            "peak_rss_mb": _peak_rss_mb(),
-        }
-    report = quantization_report(
-        RecommendationService(
-            model, ds, max_len=MAX_LEN, num_candidates=100, quantized=True
-        ).model
-    )
-    agree = sum(
-        len(set(f) & set(q))
-        for f, q in zip(slates["float32"], slates["quantized"])
-    )
-    total = sum(len(f) for f in slates["float32"])
-    return {
-        "legs": legs,
-        "agreement": agree / total,
-        "agreement_slots": total,
-        "weight_bytes": report,
-    }
-
-
-def test_quantized_serving(benchmark):
-    result = benchmark.pedantic(run_quantized_serving, rounds=1, iterations=1)
-    legs = result["legs"]
-    f32, q = legs["float32"], legs["quantized"]
-    latency_ratio = q["per_query_ms"] / f32["per_query_ms"]
-    rss_delta = q["peak_rss_mb"] - f32["peak_rss_mb"]
-    shrink = result["weight_bytes"]["original_bytes"] / max(
-        result["weight_bytes"]["quantized_bytes"], 1
-    )
-    banner("Quantized serving — int8 embeddings + fp16 linears vs float32")
-    for name, leg in legs.items():
-        print(
-            f"{name:10s} {leg['per_query_ms']:7.2f} ms/query "
-            f"(batch {leg['batch_s'] * 1e3:7.1f} ms, "
-            f"peak RSS {leg['peak_rss_mb']:7.1f} MB)"
-        )
-    print(
-        f"{'deltas':10s} latency x{latency_ratio:.2f}, "
-        f"peak RSS {rss_delta:+.1f} MB, weights {shrink:.2f}x smaller, "
-        f"top-10 agreement {result['agreement']:.2%} "
-        f"({result['agreement_slots']} slots)"
-    )
-    persist(
-        "BENCH_latency",
-        {
-            **legs,
-            "quantization": {
-                "latency_ratio": latency_ratio,
-                "peak_rss_delta_mb": rss_delta,
-                "weight_shrink": shrink,
-                "top10_agreement": result["agreement"],
-                "agreement_slots": result["agreement_slots"],
-                **result["weight_bytes"],
-            },
-        },
-        max_len=MAX_LEN, num_candidates=100, batch_size=64,
-    )
-    # The serving gate: quantization may reorder the tail, but ≥99% of
-    # top-10 slots must agree with the float32 service.
-    assert result["agreement"] >= 0.99, (
-        f"quantized top-10 agreement {result['agreement']:.2%} below 99%"
-    )
-    # The whole point of the int8/fp16 path: the swapped tables must
-    # actually be smaller (int8 + per-row scales ≈ 3.5-4x, fp16 = 2x).
-    assert shrink >= 2.0, f"weight shrink {shrink:.2f}x below 2x"
-
-
 def run_fault_harness_overhead():
     ds = dataset("gowalla")
     train, _ = partition(ds, n=MAX_LEN)
@@ -341,13 +227,7 @@ def test_sustained_serving(benchmark):
     print(f"serial        {serial['qps']:.1f} qps  "
           f"p50={serial['p50_ms']:.1f}ms p99={serial['p99_ms']:.1f}ms  "
           f"->  tier speedup {speedup:.2f}x")
-    # Merge into the existing BENCH_latency rows (the quantized leg
-    # writes the same record; whole-file save would clobber it).
-    try:
-        rows = results_store().load("BENCH_latency").rows
-    except FileNotFoundError:
-        rows = {}
-    rows["sustained"] = {
+    sustained = {
         "qps": report.qps,
         "p50_ms": report.latency_ms["p50"],
         "p99_ms": report.latency_ms["p99"],
@@ -360,8 +240,8 @@ def test_sustained_serving(benchmark):
         "max_batch": 64,
         "deadline_s": result["deadline_s"],
     }
-    persist("BENCH_latency", rows, max_len=MAX_LEN, num_candidates=100,
-            batch_size=64)
+    persist("BENCH_latency", {"sustained": sustained}, max_len=MAX_LEN,
+            num_candidates=100, batch_size=64)
     # Nothing lost, nobody shed on the healthy path.
     assert report.lost == 0
     assert report.shed_rate == 0.0, f"healthy path shed {report.shed_rate:.1%}"

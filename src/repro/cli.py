@@ -204,7 +204,6 @@ def cmd_serve_bench(args) -> int:
         model, ds, max_len=args.max_len,
         num_candidates=min(args.candidates, ds.num_pois - 1),
         enable_caches=not args.no_cache,
-        quantized=args.quantized,
     )
     users = ds.users()[: args.num_users]
     points = sweep_service_batches(
@@ -213,17 +212,7 @@ def cmd_serve_bench(args) -> int:
     )
     print(f"serving benchmark: {args.model} on {ds.name} "
           f"({len(users)} users, k={args.k}, "
-          f"caches {'off' if args.no_cache else 'on'}, "
-          f"weights {'int8/fp16' if args.quantized else 'fp32'})")
-    if args.quantized:
-        from .nn.quantize import quantization_report
-
-        report = quantization_report(service.model)
-        print(
-            f"quantized {report['modules']} modules: "
-            f"{report['original_bytes'] / 1024:.1f} KiB -> "
-            f"{report['quantized_bytes'] / 1024:.1f} KiB weight bytes"
-        )
+          f"caches {'off' if args.no_cache else 'on'})")
     print(format_batch_sweep(points))
     if service.caches is not None:
         print(f"cache stats (last point): {service.caches}")
@@ -471,9 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--no-cache", action="store_true",
                    help="disable the slate/relation serving caches")
-    p.add_argument("--quantized", action="store_true",
-                   help="serve from an int8/float16 quantized copy of "
-                        "the model (inference-only)")
     p.set_defaults(func=cmd_serve_bench, epochs=1)
 
     p = sub.add_parser(

@@ -56,7 +56,6 @@ import numpy as np
 from ..data.sequences import pad_head
 from ..data.types import PAD_POI, CheckInDataset
 from ..geo.haversine import haversine
-from ..nn.quantize import quantize_for_serving
 from ..nn.tensor import no_grad
 from ..obs import REGISTRY, span
 from ..obs import state as _obs
@@ -169,11 +168,6 @@ class RecommendationService:
     breaker : the circuit breaker guarding the model call; a default
         one (5 consecutive failures to open, 20 requests to half-open)
         is created when None.
-    quantized : serve from an inference-only quantized copy of the
-        model (int8 embeddings, float16 linear weights — see
-        :mod:`repro.nn.quantize`).  The original model is untouched;
-        the degradation path is unchanged (a quantized-model failure
-        falls back exactly like a float32 one).
     """
 
     def __init__(
@@ -185,7 +179,6 @@ class RecommendationService:
         caches: Optional[ServingCaches] = None,
         enable_caches: bool = True,
         breaker: Optional[CircuitBreaker] = None,
-        quantized: bool = False,
     ):
         if max_len < 2:
             raise ValueError("max_len must be >= 2")
@@ -198,10 +191,7 @@ class RecommendationService:
                 f"dataset {dataset.name!r} has {dataset.num_pois} POI(s); "
                 "serving needs at least 2 (one anchor plus one candidate)"
             )
-        if quantized:
-            model = quantize_for_serving(model)
         self.model = model
-        self.quantized = quantized
         self.dataset = dataset
         self.max_len = max_len
         self.num_candidates = min(num_candidates, dataset.num_pois - 1)

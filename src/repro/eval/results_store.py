@@ -53,7 +53,7 @@ class ResultsStore:
         return self.root / f"{safe}.json"
 
     def save(self, record: ExperimentRecord) -> Path:
-        record.created_at = datetime.now(timezone.utc).isoformat()
+        record.created_at = datetime.now(timezone.utc).isoformat()  # repro-lint: disable=REPRO-DET-CLOCK -- archival metadata (when a result row was produced); not part of any metric and excluded from result comparisons
         path = self._path(record.experiment)
         payload = {
             "experiment": record.experiment,

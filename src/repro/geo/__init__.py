@@ -1,9 +1,8 @@
 """``repro.geo`` — geography substrate: haversine distances, quadkey
-encoding (GeoSAN geography-encoder input), KD-tree POI neighbourhood
-search, and coarse gridding."""
+encoding (GeoSAN geography-encoder input) and KD-tree POI neighbourhood
+search."""
 
 from .grid import build_spatial_index
-from .gridding import GridSpec
 from .haversine import EARTH_RADIUS_KM, haversine, pairwise_haversine
 from .neighbors import (
     PoiIndex,
@@ -32,7 +31,6 @@ __all__ = [
     "xyz_distance_km",
     "canonical_topk",
     "pad_pool",
-    "GridSpec",
     "latlon_to_quadkey",
     "latlon_to_tile_xy",
     "quadkey_ngram_ids",

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .findings import Finding
 
@@ -76,8 +76,9 @@ class BaselineEntry:
 class FilterResult:
     kept: List[Finding]
     suppressed: int
-    #: fingerprints present in the baseline that matched nothing — the
-    #: grandfathered violation was fixed; the entry should be deleted.
+    #: fingerprints present in the baseline, for a file that was linted,
+    #: that matched nothing — the grandfathered violation was fixed; the
+    #: entry should be deleted.
     stale: List[str] = field(default_factory=list)
 
 
@@ -149,7 +150,11 @@ class Baseline:
                 suppressed += 1
             else:
                 kept.append(finding)
-        stale = [fp for fp, left in budget.items() if left == self.entries[fp].count]
+        linted = linted_paths(root, sources, paths)
+        stale = [
+            fp for fp, left in budget.items()
+            if left == self.entries[fp].count and self.entries[fp].path in linted
+        ]
         return FilterResult(kept=kept, suppressed=suppressed, stale=sorted(stale))
 
     @classmethod
@@ -181,6 +186,15 @@ class Baseline:
                 line=finding.line,
             )
         return baseline
+
+
+def linted_paths(
+    root: Path, sources: Dict[str, str], paths: Optional[Dict[str, Path]] = None
+) -> Set[str]:
+    """Repo-root-relative paths of the files a run linted (the keys of
+    ``sources``), in the form baseline entries record."""
+    paths = paths or {}
+    return {_rel_to_root(paths.get(d, Path(d)), root) for d in sources}
 
 
 def _rel_to_root(path: Path, root: Path) -> str:

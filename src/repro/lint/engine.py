@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import opcheck  # noqa: F401  (imported for its rule registrations)
 from . import rules_semantic  # noqa: F401  (dataflow rule registrations)
-from .baseline import BASELINE_FILENAME, Baseline
+from .baseline import BASELINE_FILENAME, Baseline, linted_paths
 from .findings import Finding
 from .rules import REGISTRY, ModuleInfo
 
@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-baseline", action="store_true",
         help="absorb all current findings into the baseline file and exit "
-        "(existing justifications are preserved)",
+        "(existing justifications, and the entries of files not linted, "
+        "are preserved)",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress the summary line"
@@ -342,13 +343,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.write_baseline:
         root = run.root or Path.cwd()
         bpath = baseline_path or (root / BASELINE_FILENAME)
-        old_justifications: Dict[str, str] = {}
-        if bpath.is_file():
-            for fp, entry in Baseline.load(bpath).entries.items():
-                old_justifications[fp] = entry.justification
+        old = Baseline.load(bpath) if bpath.is_file() else Baseline()
         baseline = Baseline.from_findings(
-            run.pre_baseline, root, run.sources, old_justifications, run.paths
+            run.pre_baseline, root, run.sources,
+            {fp: entry.justification for fp, entry in old.entries.items()},
+            run.paths,
         )
+        # A subset run rewrites only its own files' entries.
+        linted = linted_paths(root, run.sources, run.paths)
+        for fp, entry in old.entries.items():
+            if entry.path not in linted:
+                baseline.entries.setdefault(fp, entry)
         baseline.save(bpath)
         print(
             f"repro.lint: wrote {len(baseline)} baseline entr"

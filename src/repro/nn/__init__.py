@@ -26,14 +26,6 @@ from .layers import (
 )
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, AdamW, FlatAdam, Optimizer
-from .quantize import (
-    QuantizedEmbedding,
-    QuantizedLinear,
-    dequantize_rows,
-    quantization_report,
-    quantize_for_serving,
-    quantize_rows_int8,
-)
 from .rnn import GRU, GRUCell, LSTMCell, STGNCell
 from .schedulers import (
     CosineAnnealingLR,
@@ -80,12 +72,6 @@ __all__ = [
     "grad_arena",
     "active_arena",
     "fused_causal_attention",
-    "QuantizedEmbedding",
-    "QuantizedLinear",
-    "quantize_rows_int8",
-    "dequantize_rows",
-    "quantize_for_serving",
-    "quantization_report",
     "Module",
     "ModuleList",
     "Parameter",

@@ -7,12 +7,6 @@ re-runs the identical pipeline and diffs against the committed JSON at
 1e-6 tolerance, so any silent numerical drift in the model, the data
 generator or the serving path fails loudly.
 
-A second fixture (``stisan_service_top10_quantized.json``) records the
-same pipeline served through ``RecommendationService(quantized=True)``
-— int8 embeddings + float16 linears — over *every* dataset user.
-``tests/test_quantize.py`` pins the quantized slates exactly and holds
-their agreement with the float32 slates to ≥99%.
-
 Regenerate (only after an *intentional* output-changing commit):
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -26,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN_PATH = Path(__file__).with_name("stisan_service_top10.json")
-QUANTIZED_GOLDEN_PATH = Path(__file__).with_name("stisan_service_top10_quantized.json")
 
 NUM_GOLDEN_USERS = 5
 TOP_K = 10
@@ -88,62 +81,10 @@ def build_golden() -> dict:
     }
 
 
-def build_quantized_golden() -> dict:
-    """Float32 vs int8/float16 top-10 slates over every dataset user.
-
-    Both services serve the *same* trained weights; the quantized one is
-    built with ``RecommendationService(quantized=True)``.  The recorded
-    ``agreement`` is the mean per-user top-10 set overlap — the ≥99%
-    serving gate of the quantization PR.
-    """
-    from repro.core import RecommendationService
-
-    service, dataset = build_service()
-    quantized = RecommendationService(
-        service.model, dataset, max_len=MAX_LEN, num_candidates=20,
-        quantized=True,
-    )
-    users = dataset.users()
-    float_recs = service.recommend_batch(users, k=TOP_K)
-    quant_recs = quantized.recommend_batch(users, k=TOP_K)
-    overlaps = [
-        len({r.poi for r in f} & {r.poi for r in q}) / float(TOP_K)
-        for f, q in zip(float_recs, quant_recs)
-    ]
-    return {
-        "meta": {
-            "model": "STiSAN",
-            "dataset_seed": 7,
-            "train_seed": 0,
-            "max_len": MAX_LEN,
-            "num_candidates": 20,
-            "k": TOP_K,
-            "quantization": "int8-embeddings+fp16-linears",
-        },
-        "agreement": float(np.mean(overlaps)),
-        "users": {
-            str(user): {
-                "float32_pois": [r.poi for r in f],
-                "pois": [r.poi for r in q],
-                "scores": [float(np.float64(r.score)) for r in q],
-            }
-            for user, f, q in zip(users, float_recs, quant_recs)
-        },
-    }
-
-
 def main() -> None:
     golden = build_golden()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH} ({len(golden['users'])} users, k={TOP_K})")
-    quantized = build_quantized_golden()
-    QUANTIZED_GOLDEN_PATH.write_text(
-        json.dumps(quantized, indent=2, sort_keys=True) + "\n"
-    )
-    print(
-        f"wrote {QUANTIZED_GOLDEN_PATH} ({len(quantized['users'])} users, "
-        f"k={TOP_K}, agreement={quantized['agreement']:.3f})"
-    )
 
 
 if __name__ == "__main__":

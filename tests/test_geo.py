@@ -9,7 +9,6 @@ import repro.core.geo_encoder as geo_encoder_module
 from repro.core.geo_encoder import GeographyEncoder
 from repro.geo import (
     EARTH_RADIUS_KM,
-    GridSpec,
     PoiIndex,
     QuadkeyVocab,
     haversine,
@@ -282,39 +281,3 @@ class TestPoiIndex:
         xyz = latlon_to_unit_xyz(coords)
         np.testing.assert_allclose(np.linalg.norm(xyz, axis=1), 1.0, atol=1e-12)
 
-
-class TestGridSpec:
-    @pytest.fixture()
-    def grid(self):
-        return GridSpec(43.0, 44.0, 125.0, 126.0, rows=4, cols=5)
-
-    def test_cell_count(self, grid):
-        assert grid.num_cells == 20
-
-    def test_cell_of_corners(self, grid):
-        assert grid.cell_of(43.0, 125.0) == 0
-        assert grid.cell_of(44.0, 126.0) == 19
-
-    def test_cell_center_roundtrip(self, grid):
-        for cell in range(grid.num_cells):
-            lat, lon = grid.cell_center(cell)
-            assert grid.cell_of(lat, lon) == cell
-
-    def test_out_of_box_clamped(self, grid):
-        assert grid.cell_of(99.0, 200.0) == 19
-
-    def test_neighbors_interior(self, grid):
-        n = grid.neighbors_of(grid.cell_of(43.5, 125.5), radius=1)
-        assert len(n) == 9
-
-    def test_neighbors_corner(self, grid):
-        n = grid.neighbors_of(0, radius=1)
-        assert len(n) == 4
-
-    def test_degenerate_box_raises(self):
-        with pytest.raises(ValueError):
-            GridSpec(44.0, 43.0, 125.0, 126.0, rows=2, cols=2)
-
-    def test_cell_center_out_of_range(self, grid):
-        with pytest.raises(IndexError):
-            grid.cell_center(20)

@@ -272,6 +272,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "POP" in out and "BPR" in out
 
+    def test_serve_bench_prints_batch_sweep(self, tmp_path, capsys):
+        data = tmp_path / "ds.npz"
+        cli_main(["generate", "--profile", "changchun", "--scale", "0.15",
+                  "--seed", "2", "--out", str(data)])
+        capsys.readouterr()
+        assert cli_main([
+            "serve-bench", "--data", str(data), "--epochs", "0",
+            "--max-len", "8", "--dim", "8", "--num-users", "4",
+            "--batch-sizes", "1", "4", "--rounds", "1", "--candidates", "20",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "serving benchmark: STiSAN" in out
+        assert "batch       qps  ms/query  speedup" in out
+        # quantized serving is retired: its flag is an argparse error
+        retired = "quantized"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["serve-bench", "--data", str(data), f"--{retired}"])
+        assert exc.value.code == 2
+
     def test_unsupported_format(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["stats", "--data", str(tmp_path / "x.parquet")])

@@ -424,6 +424,44 @@ class TestBaseline:
         assert run.findings == []
         assert len(run.stale_baseline) == 1
 
+    def test_subset_run_counts_no_stale_entries_for_unlinted_files(
+        self, tmp_path, capsys
+    ):
+        root = write_project(
+            tmp_path,
+            {"src/repro/data/mod.py": NN_LEAKY, "src/repro/data/other.py": NN_LEAKY},
+        )
+        assert main(["--write-baseline", str(root / "src")]) == 0
+        capsys.readouterr()
+
+        # other.py's entry still matches its (unlinted) violation
+        run = run_lint([root / "src/repro/data/mod.py"])
+        assert run.findings == []
+        assert run.stale_baseline == []
+        assert main([str(root / "src/repro/data/mod.py")]) == 0
+        assert "stale" not in capsys.readouterr().err
+
+    def test_subset_write_baseline_keeps_unlinted_entries(self, tmp_path, capsys):
+        root = write_project(
+            tmp_path,
+            {"src/repro/data/mod.py": NN_LEAKY, "src/repro/data/other.py": NN_LEAKY},
+        )
+        bpath = root / BASELINE_FILENAME
+        assert main(["--write-baseline", str(root / "src")]) == 0
+        doc = json.loads(bpath.read_text())
+        for entry in doc["entries"]:
+            entry["justification"] = f"reviewed: {entry['path']}"
+        bpath.write_text(json.dumps(doc))
+
+        assert main(["--write-baseline", str(root / "src/repro/data/mod.py")]) == 0
+        capsys.readouterr()
+        entries = Baseline.load(bpath).entries.values()
+        assert sorted((e.path, e.justification) for e in entries) == [
+            ("src/repro/data/mod.py", "reviewed: src/repro/data/mod.py"),
+            ("src/repro/data/other.py", "reviewed: src/repro/data/other.py"),
+        ]
+        assert lint_paths([root / "src"]) == []
+
     def test_fingerprint_survives_line_drift(self, tmp_path):
         root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
         src = root / "src"

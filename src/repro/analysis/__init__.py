@@ -20,7 +20,6 @@ from .attention_vs_relation import (
     dependency_decomposition,
     jensen_shannon,
 )
-from .embedding_probe import geography_encoder_alignment, pairwise_alignment
 from .render import render_heatmap, render_histogram, render_series
 from .taad_probe import TaadEntropyReport, attention_entropy, taad_attention_entropy
 from .trajectories import (
@@ -55,8 +54,6 @@ __all__ = [
     "render_heatmap",
     "render_histogram",
     "render_series",
-    "pairwise_alignment",
-    "geography_encoder_alignment",
     "TaadEntropyReport",
     "attention_entropy",
     "taad_attention_entropy",

@@ -18,7 +18,6 @@ from .factory import TABLE3_MODELS, make_recommender
 from .fpmc_lr import FPMCLR
 from .geosan import GeoSAN
 from .gru4rec import GRU4Rec
-from .markov import MarkovChain
 from .pop import Popularity
 from .prme_g import PRMEG
 from .sasrec import SASRec
@@ -36,7 +35,6 @@ __all__ = [
     "make_recommender",
     "TABLE3_MODELS",
     "Popularity",
-    "MarkovChain",
     "BPRMF",
     "FPMCLR",
     "PRMEG",

@@ -156,7 +156,7 @@ def register(name: str):
 
     def wrap(cls):
         cls.name = name
-        _REGISTRY[name] = cls
+        _REGISTRY[name] = cls  # repro-lint: disable=REPRO-STATE -- filled by @register at import time, before any worker forks; never written after
         return cls
 
     return wrap

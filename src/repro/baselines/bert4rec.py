@@ -55,11 +55,11 @@ class Bert4Rec(SequentialRecommender, Module):
         ffn_hidden: int = 96,
         dropout: float = 0.2,
         mask_prob: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         Module.__init__(self)
-        rng = rng or np.random.default_rng()
         self.num_pois = num_pois
         self.mask_token = num_pois + 1
         self.dim = dim

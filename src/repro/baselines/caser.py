@@ -41,11 +41,11 @@ class Caser(NeuralRecommender):
         num_h_filters: int = 16,
         num_v_filters: int = 4,
         dropout: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.markov_len = markov_len
         self.embedding = Embedding(num_pois + 1, dim, padding_idx=PAD_POI, rng=rng)

@@ -34,7 +34,8 @@ class GeoSAN(SequentialRecommender):
         num_pois: int,
         poi_coords: np.ndarray,
         config: Optional[STiSANConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         base = config or STiSANConfig.small()

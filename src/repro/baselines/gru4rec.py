@@ -5,8 +5,6 @@ POIs (windowed sub-sequences) with step-wise next-POI targets.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..data.types import PAD_POI
@@ -25,11 +23,11 @@ class GRU4Rec(NeuralRecommender):
         num_pois: int,
         dim: int = 48,
         dropout: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.embedding = Embedding(num_pois + 1, dim, padding_idx=PAD_POI, rng=rng)
         self.gru = GRU(dim, dim, rng=rng)

@@ -50,7 +50,8 @@ class SASRec(NeuralRecommender):
         use_interval_bias: bool = False,
         poi_coords: Optional[np.ndarray] = None,
         relation: Optional[RelationConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         super().__init__()
@@ -58,7 +59,6 @@ class SASRec(NeuralRecommender):
             raise ValueError(f"unknown position_mode {position_mode!r}")
         if use_interval_bias and poi_coords is None:
             raise ValueError("interval bias requires poi_coords")
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.max_len = max_len
         self.position_mode = position_mode

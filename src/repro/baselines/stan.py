@@ -19,8 +19,6 @@ STAN's balanced sampler.  See DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core.relation import causal_attend_mask
@@ -81,11 +79,11 @@ class STAN(NeuralRecommender):
         num_blocks: int = 2,
         ffn_hidden: int = 96,
         dropout: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.poi_coords = np.asarray(poi_coords, dtype=np.float64)
         self.embedding = Embedding(num_pois + 1, dim, padding_idx=PAD_POI, rng=rng)

@@ -10,7 +10,7 @@ matches hidden states against candidate POI embeddings.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -34,11 +34,11 @@ class STGN(NeuralRecommender):
         dropout: float = 0.2,
         dt_scale_days: float = 7.0,
         dd_scale_km: float = 20.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.poi_coords = np.asarray(poi_coords, dtype=np.float64)
         self.dt_scale = dt_scale_days

@@ -24,7 +24,8 @@ class STiSANRecommender(SequentialRecommender):
         num_pois: int,
         poi_coords: np.ndarray,
         config: Optional[STiSANConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         self.config = config or STiSANConfig.small()

@@ -17,8 +17,6 @@ learned parameters.  See DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core.relation import causal_attend_mask
@@ -73,11 +71,11 @@ class TiSASRec(NeuralRecommender):
         ffn_hidden: int = 96,
         num_buckets: int = 64,
         dropout: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         **_,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.max_len = max_len
         self.num_buckets = num_buckets

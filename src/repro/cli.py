@@ -130,11 +130,11 @@ def cmd_train(args) -> int:
             )
         if args.resume and not args.checkpoint_dir:
             raise SystemExit("--resume requires --checkpoint-dir")
-        fit_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every": args.checkpoint_every,
-            "resume": args.resume,
-        }
+        fit_kwargs.update(
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+        )
     model.fit(ds, train_examples, _train_config(args), **fit_kwargs)
     print(f"trained {args.model} in {time.time() - t0:.0f}s")
     if args.out:

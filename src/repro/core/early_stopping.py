@@ -94,7 +94,8 @@ class EarlyStopping:
 def validation_split(
     train_examples: List[SequenceExample],
     fraction: float = 0.1,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> Tuple[List[SequenceExample], List[EvalExample]]:
     """Carve per-window validation targets out of the training set.
 
@@ -106,7 +107,6 @@ def validation_split(
         raise ValueError("fraction must be in (0, 1)")
     if not train_examples:
         raise ValueError("no training examples")
-    rng = rng or np.random.default_rng()
     indices = rng.permutation(len(train_examples))
     num_val = max(1, int(len(train_examples) * fraction))
     val_idx = set(map(int, indices[:num_val]))

@@ -22,8 +22,6 @@ evaluation and serving all take this one path.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..geo.quadkey import QuadkeyVocab, quadkey_ngram_ids
@@ -54,12 +52,12 @@ class GeographyEncoder(Module):
         level: int = 17,
         ngram: int = 6,
         pooling: str = "mean",
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
         if pooling not in ("mean", "attn"):
             raise ValueError(f"unknown pooling {pooling!r}")
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.pooling = pooling
 

@@ -45,14 +45,14 @@ class IntervalAwareAttentionLayer(Module):
         use_relation: bool = True,
         use_attention: bool = True,
         num_heads: int = 1,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
         if not use_relation and not use_attention:
             raise ValueError("at least one of relation / attention must be active")
         if num_heads < 1 or dim % num_heads != 0:
             raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
@@ -161,10 +161,10 @@ class IntervalAwareAttentionBlock(Module):
         use_relation: bool = True,
         use_attention: bool = True,
         num_heads: int = 1,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.attn_norm = LayerNorm(dim)
         self.attn = IntervalAwareAttentionLayer(
             dim,

@@ -76,12 +76,12 @@ class STiSAN(Module):
         num_pois: int,
         poi_coords: np.ndarray,
         config: Optional[STiSANConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
         self.config = config or STiSANConfig()
         cfg = self.config
-        rng = rng or np.random.default_rng()
         self.num_pois = num_pois
         self.poi_coords = np.asarray(poi_coords, dtype=np.float64)
         if len(self.poi_coords) != num_pois + 1:

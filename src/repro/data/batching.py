@@ -53,7 +53,8 @@ class BatchIterator:
         examples: List[SequenceExample],
         batch_size: int = 32,
         sampler: Optional[NearestNegativeSampler] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         shuffle: bool = True,
     ):
         if not examples:
@@ -63,7 +64,7 @@ class BatchIterator:
         self.examples = examples
         self.batch_size = batch_size
         self.sampler = sampler
-        self.rng = rng or np.random.default_rng()
+        self.rng = rng
         self.shuffle = shuffle
 
     def __len__(self) -> int:

@@ -19,7 +19,7 @@ catalogues trainable.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -56,13 +56,14 @@ class NearestNegativeSampler:
         dataset: CheckInDataset,
         num_negatives: int = 15,
         pool_size: int = 2000,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         pad_to_pool_size: bool = False,
     ):
         if num_negatives < 1:
             raise ValueError("need at least one negative sample")
         self.num_negatives = num_negatives
-        self.rng = rng or np.random.default_rng()
+        self.rng = rng
         num_pois = dataset.num_pois
         if num_pois < num_negatives + 1:
             raise ValueError(
@@ -119,7 +120,8 @@ class UniformNegativeSampler:
         self,
         dataset: CheckInDataset,
         num_negatives: int = 1,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         if num_negatives < 1:
             raise ValueError("need at least one negative sample")
@@ -127,7 +129,7 @@ class UniformNegativeSampler:
             raise ValueError("catalogue too small for negative sampling")
         self.num_pois = dataset.num_pois
         self.num_negatives = num_negatives
-        self.rng = rng or np.random.default_rng()
+        self.rng = rng
 
     def sample(self, targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=np.int64)

@@ -3,10 +3,6 @@ protocol, analytic FLOPs accounting and the experiment runner."""
 
 from .extra_metrics import (
     BootstrapResult,
-    catalogue_coverage,
-    geographic_diversity,
-    map_at_k,
-    mrr,
     paired_bootstrap,
     per_instance_hits,
     per_instance_ndcg,
@@ -34,7 +30,6 @@ from .metrics import (
 )
 from .protocol import evaluate, evaluate_full_catalogue
 from .results_store import ExperimentRecord, ResultsStore
-from .search import GridCell, GridSearchResult, grid_search
 from .runner import ExperimentConfig, format_table, run_experiment, run_rounds
 
 __all__ = [
@@ -54,10 +49,6 @@ __all__ = [
     "run_experiment",
     "run_rounds",
     "format_table",
-    "mrr",
-    "map_at_k",
-    "catalogue_coverage",
-    "geographic_diversity",
     "BootstrapResult",
     "paired_bootstrap",
     "per_instance_hits",
@@ -74,7 +65,4 @@ __all__ = [
     "measure_fault_harness_overhead",
     "ExperimentRecord",
     "ResultsStore",
-    "grid_search",
-    "GridCell",
-    "GridSearchResult",
 ]

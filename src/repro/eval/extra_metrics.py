@@ -1,73 +1,14 @@
-"""Metrics beyond the paper's HR/NDCG: MRR, MAP, catalogue coverage,
-intra-list diversity, and a paired-bootstrap significance test.
+"""Per-instance HR/NDCG vectors and a paired-bootstrap significance test.
 
-The paper reports HR@k and NDCG@k only; these are the complementary
-measures a production team would track when adopting the system, plus
-the statistical machinery to decide whether a Table III delta is real.
+The paper reports mean HR@k and NDCG@k only; this is the statistical
+machinery to decide whether a Table III delta is real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
-
-from ..geo.haversine import pairwise_haversine
-
-
-def mrr(ranks: np.ndarray) -> float:
-    """Mean reciprocal rank of the (single) target."""
-    ranks = np.asarray(ranks, dtype=np.float64)
-    if ranks.size == 0:
-        return 0.0
-    return float((1.0 / ranks).mean())
-
-
-def map_at_k(ranks: np.ndarray, k: int) -> float:
-    """Mean average precision at k for single-target instances.
-
-    With one relevant item, AP@k reduces to 1/rank when rank <= k.
-    """
-    ranks = np.asarray(ranks, dtype=np.float64)
-    if ranks.size == 0:
-        return 0.0
-    return float(np.where(ranks <= k, 1.0 / ranks, 0.0).mean())
-
-
-def catalogue_coverage(recommended: Iterable[np.ndarray], num_pois: int) -> float:
-    """Fraction of the POI catalogue that ever appears in a Top-K list.
-
-    Low coverage signals popularity bias — the recommender only ever
-    suggests the same head POIs.
-    """
-    if num_pois <= 0:
-        raise ValueError("num_pois must be positive")
-    seen = set()
-    for row in recommended:
-        seen.update(int(p) for p in np.asarray(row).reshape(-1))
-    seen.discard(0)
-    return len(seen) / num_pois
-
-
-def geographic_diversity(recommended: np.ndarray, poi_coords: np.ndarray) -> float:
-    """Mean pairwise haversine distance (km) inside each Top-K list.
-
-    A spatial recommender that only suggests one city block scores near
-    zero; higher values mean more spatially diverse suggestions.
-    """
-    recommended = np.asarray(recommended, dtype=np.int64)
-    if recommended.ndim != 2:
-        raise ValueError("expected (b, k) recommendation lists")
-    if recommended.shape[1] < 2:
-        return 0.0
-    means = []
-    for row in recommended:
-        coords = poi_coords[row]
-        d = pairwise_haversine(coords)
-        upper = d[np.triu_indices(len(row), k=1)]
-        means.append(upper.mean())
-    return float(np.mean(means))
 
 
 @dataclass
@@ -90,7 +31,8 @@ def paired_bootstrap(
     metric_a: np.ndarray,
     metric_b: np.ndarray,
     num_samples: int = 2000,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> BootstrapResult:
     """Paired bootstrap over per-instance metric values.
 
@@ -105,7 +47,6 @@ def paired_bootstrap(
         raise ValueError("metric arrays must be equal-length 1-D")
     if a.size == 0:
         raise ValueError("no instances to bootstrap")
-    rng = rng or np.random.default_rng()
     delta = a - b
     idx = rng.integers(0, a.size, size=(num_samples, a.size))
     samples = delta[idx].mean(axis=1)

@@ -17,15 +17,15 @@ protocol):
   symbol/import table (:mod:`repro.lint.symbols`).
 
 The engine (:mod:`repro.lint.engine`) reads and parses every file, runs
-the rules, and subtracts a checked-in baseline of grandfathered
-violations (:mod:`repro.lint.baseline`); the CLI is
-``python -m repro.lint`` / ``repro check``.
+the rules, and drops the findings that an inline
+``# repro-lint: disable=RULE -- reason`` comment silences; a comment that
+silences nothing is itself a finding.  The CLI is ``python -m repro.lint``
+/ ``repro check``.
 
 The runtime counterpart — NaN/Inf detection the moment a value is
 produced — lives in :mod:`repro.nn.anomaly`.
 """
 
-from .baseline import Baseline, BaselineEntry
 from .cfg import CFG, build_cfg
 from .dataflow import Definition, FixpointResult, ForwardAnalysis, ReachingDefinitions
 from .engine import LintRun, lint_paths, main, run_lint
@@ -58,6 +58,4 @@ __all__ = [
     "ModuleTaint",
     "Taint",
     "SyntacticFloat64Rule",
-    "Baseline",
-    "BaselineEntry",
 ]

@@ -6,16 +6,15 @@ Usage
     python -m repro.lint --list-rules          # registry with metadata
     python -m repro.lint --explain REPRO-F64   # one rule, in depth
     python -m repro.lint --json out.json       # also write findings as JSON
-    python -m repro.lint --write-baseline      # grandfather current findings
     repro check [args...]                      # the same CLI, arguments as-is
 
-Exit status is 0 when no findings survive suppression + baseline
-filtering, 1 otherwise, 2 on usage errors — tier-1 tests and CI both
-gate on it.
+Exit status is 0 when no findings survive inline suppression, 1
+otherwise, 2 on usage errors — tier-1 tests and CI both gate on it.
 
 Pipeline per run: discover and read files → parse each → run every
-applicable rule (inline suppressions filtered here) → subtract the
-checked-in baseline → report.
+applicable rule → drop the findings an inline
+``# repro-lint: disable=RULE -- reason`` comment silences, and report
+every such comment that silenced nothing → report.
 """
 
 from __future__ import annotations
@@ -26,18 +25,14 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from . import opcheck  # noqa: F401  (imported for its rule registrations)
 from . import rules_semantic  # noqa: F401  (dataflow rule registrations)
-from .baseline import BASELINE_FILENAME, Baseline, linted_paths
 from .findings import Finding
 from .rules import REGISTRY, ModuleInfo
 
 GRADCHECK_RELPATH = Path("tests") / "test_nn_gradcheck.py"
-
-#: Files that mark a repository root during the upward walk.
-_ROOT_MARKERS = (BASELINE_FILENAME, "pyproject.toml", ".git")
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
@@ -60,21 +55,6 @@ def find_gradcheck_file(paths: Sequence[Path]) -> Optional[Path]:
             seen.add(candidate_root)
             candidate = candidate_root / GRADCHECK_RELPATH
             if candidate.is_file():
-                return candidate
-    return None
-
-
-def find_repo_root(paths: Sequence[Path]) -> Optional[Path]:
-    """Nearest ancestor of the lint targets carrying a root marker.
-    None (no baseline) for bare scratch directories."""
-    seen = set()
-    for start in paths:
-        start = start.resolve()
-        for candidate in [start, *start.parents]:
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            if any((candidate / marker).exists() for marker in _ROOT_MARKERS):
                 return candidate
     return None
 
@@ -118,16 +98,7 @@ class LintRun:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    root: Optional[Path] = None
     elapsed: float = 0.0
-    baseline_suppressed: int = 0
-    stale_baseline: List[str] = field(default_factory=list)
-    #: display path -> real path (for baseline fingerprints).
-    paths: Dict[str, Path] = field(default_factory=dict)
-    #: display path -> source text (for baseline fingerprints).
-    sources: Dict[str, str] = field(default_factory=dict)
-    #: findings before baseline subtraction (for --write-baseline).
-    pre_baseline: List[Finding] = field(default_factory=list)
 
 
 def _display(file_path: Path) -> str:
@@ -139,8 +110,13 @@ def _display(file_path: Path) -> str:
 
 def _check_module(module: ModuleInfo) -> List[Finding]:
     """Every applicable rule's findings for one module, minus those an
-    inline comment suppresses (``REPRO-SUP`` cannot be suppressed)."""
+    inline comment suppresses (``REPRO-SUP`` cannot be suppressed).
+
+    A suppression comment that silences no finding on its line is itself
+    a ``REPRO-SUP`` finding: once its violation is fixed, the comment
+    goes stale loudly instead of hiding the next one."""
     findings: List[Finding] = []
+    used = set()
     for rule in REGISTRY:
         if not rule.applies_to(module):
             continue
@@ -151,23 +127,25 @@ def _check_module(module: ModuleInfo) -> List[Finding]:
             if finding.rule_id != "REPRO-SUP" and module.suppressions.is_suppressed(
                 finding
             ):
+                used.add(finding.line)
                 continue
             findings.append(finding)
+    findings.extend(
+        Finding(
+            module.display, suppression.line, "REPRO-SUP",
+            "suppression silences no finding on its line; delete it",
+        )
+        for suppression in module.suppressions.all()
+        if suppression.line not in used
+    )
     return findings
 
 
-def run_lint(
-    paths: Sequence[Path],
-    gradcheck_path: Optional[Path] = None,
-    *,
-    use_baseline: bool = True,
-    baseline_path: Optional[Path] = None,
-) -> LintRun:
+def run_lint(paths: Sequence[Path], gradcheck_path: Optional[Path] = None) -> LintRun:
     """The full engine pipeline; :func:`lint_paths` is the thin wrapper
     returning only the finding list."""
     started = time.perf_counter()
     run = LintRun()
-    run.root = find_repo_root(paths)
 
     if gradcheck_path is None:
         gradcheck_path = find_gradcheck_file(paths)
@@ -180,7 +158,6 @@ def run_lint(
     # dict.fromkeys: overlapping path arguments lint each file once.
     for file_path in dict.fromkeys(iter_python_files(paths)):
         display = _display(file_path)
-        run.paths[display] = file_path
         try:
             source = file_path.read_text(encoding="utf-8")
         except OSError as exc:
@@ -189,7 +166,6 @@ def run_lint(
             )
             continue
         run.files_checked += 1
-        run.sources[display] = source
         try:
             module = ModuleInfo.parse(file_path, source=source, display=display)
         except SyntaxError as exc:
@@ -202,38 +178,21 @@ def run_lint(
         module.gradcheck_names = covered
         all_findings.extend(_check_module(module))
 
-    run.pre_baseline = sorted(all_findings)
-
-    # -- baseline subtraction
-    findings = run.pre_baseline
-    if use_baseline and run.root is not None:
-        bpath = baseline_path or (run.root / BASELINE_FILENAME)
-        if bpath.is_file():
-            baseline = Baseline.load(bpath)
-            result = baseline.filter(findings, run.root, run.sources, run.paths)
-            findings = result.kept
-            run.baseline_suppressed = result.suppressed
-            run.stale_baseline = result.stale
-    run.findings = sorted(findings)
+    run.findings = sorted(all_findings)
     run.elapsed = time.perf_counter() - started
     return run
 
 
 def lint_paths(
-    paths: Sequence[Path],
-    gradcheck_path: Optional[Path] = None,
-    *,
-    use_baseline: bool = True,
+    paths: Sequence[Path], gradcheck_path: Optional[Path] = None
 ) -> List[Finding]:
     """Run every registered rule over ``paths`` and return live findings.
 
     Inline-suppressed findings are dropped — except for ``REPRO-SUP``
     itself, which cannot be silenced (otherwise the justification
-    requirement could suppress its own enforcement).  Findings matching
-    the repo baseline (``.repro-lint-baseline.json`` at the discovered
-    repo root) are also dropped; everything else survives.
+    requirement could suppress its own enforcement).
     """
-    return run_lint(paths, gradcheck_path, use_baseline=use_baseline).findings
+    return run_lint(paths, gradcheck_path).findings
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write findings as a JSON array to PATH",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help=f"baseline file (default: <repo root>/{BASELINE_FILENAME})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report baselined findings too",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="absorb all current findings into the baseline file and exit "
-        "(existing justifications, and the entries of files not linted, "
-        "are preserved)",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress the summary line"
@@ -331,36 +276,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro.lint: no such path: {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
     gradcheck = Path(args.gradcheck_file) if args.gradcheck_file else None
-    baseline_path = Path(args.baseline) if args.baseline else None
-
-    run = run_lint(
-        paths,
-        gradcheck_path=gradcheck,
-        use_baseline=not args.no_baseline and not args.write_baseline,
-        baseline_path=baseline_path,
-    )
-
-    if args.write_baseline:
-        root = run.root or Path.cwd()
-        bpath = baseline_path or (root / BASELINE_FILENAME)
-        old = Baseline.load(bpath) if bpath.is_file() else Baseline()
-        baseline = Baseline.from_findings(
-            run.pre_baseline, root, run.sources,
-            {fp: entry.justification for fp, entry in old.entries.items()},
-            run.paths,
-        )
-        # A subset run rewrites only its own files' entries.
-        linted = linted_paths(root, run.sources, run.paths)
-        for fp, entry in old.entries.items():
-            if entry.path not in linted:
-                baseline.entries.setdefault(fp, entry)
-        baseline.save(bpath)
-        print(
-            f"repro.lint: wrote {len(baseline)} baseline entr"
-            f"{'y' if len(baseline) == 1 else 'ies'} "
-            f"({len(run.pre_baseline)} finding(s)) to {bpath}"
-        )
-        return 0
+    run = run_lint(paths, gradcheck_path=gradcheck)
 
     for finding in run.findings:
         print(finding.format())
@@ -371,21 +287,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             encoding="utf-8",
         )
 
-    if run.stale_baseline and not args.quiet:
-        print(
-            f"repro.lint: note: {len(run.stale_baseline)} stale baseline "
-            f"entr{'y' if len(run.stale_baseline) == 1 else 'ies'} "
-            "(violation fixed; run --write-baseline to prune)",
-            file=sys.stderr,
-        )
-
     if not args.quiet:
         status = "ok" if not run.findings else f"{len(run.findings)} finding(s)"
-        baseline_note = (
-            f", {run.baseline_suppressed} baselined" if run.baseline_suppressed else ""
-        )
         print(
             f"repro.lint: {run.files_checked} file(s) checked, {status} "
-            f"({run.elapsed:.2f}s{baseline_note})"
+            f"({run.elapsed:.2f}s)"
         )
     return 1 if run.findings else 0

@@ -7,7 +7,8 @@ be silenced with an inline comment on the offending line:
 
 The ``-- reason`` part is mandatory: a suppression without a written
 justification is itself reported (rule ``REPRO-SUP``), so the gate
-cannot be quietly eroded.
+cannot be quietly eroded.  So is a suppression that silences no finding
+on its line (see :func:`repro.lint.engine._check_module`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ REPRO-FUSED      no hand-rolled ``q @ k.transpose()`` attention chains
 REPRO-DENSEPOI   no catalogue-sized ``np.zeros((num_pois, ...))`` table
                  allocations outside the dense baselines; query the
                  shared spatial index per target instead
-REPRO-SUP        suppression comments must carry a justification
+REPRO-SUP        suppression comments must carry a justification and
+                 silence a finding on their line
 ==============   ======================================================
 
 ``REPRO-F64`` used to live here as a purely syntactic pass; it is now
@@ -789,7 +790,8 @@ class SuppressionNeedsReasonRule:
     rule_id = "REPRO-SUP"
     description = (
         "Every '# repro-lint: disable=...' comment must justify itself "
-        "with a trailing '-- reason'."
+        "with a trailing '-- reason' and silence a finding on its line "
+        "(the engine reports the unused ones)."
     )
     severity = "error"
     family = "meta"

@@ -73,13 +73,13 @@ class anomaly_mode:
         self._enabled = enabled
 
     def __enter__(self):
-        global _enabled
+        global _enabled  # repro-lint: disable=REPRO-STATE -- context-manager toggle, restored on __exit__
         self._prev = _enabled
         _enabled = self._enabled
         return self
 
     def __exit__(self, *exc):
-        global _enabled
+        global _enabled  # repro-lint: disable=REPRO-STATE -- context-manager toggle; restores the value __enter__ saved
         _enabled = self._prev
         return False
 

@@ -57,9 +57,8 @@ class SelfAttention(Module):
     the interval-aware variant.
     """
 
-    def __init__(self, dim: int, dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, dropout: float = 0.0, *, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.w_q = Linear(dim, dim, bias=False, rng=rng)
         self.w_k = Linear(dim, dim, bias=False, rng=rng)
@@ -91,12 +90,12 @@ class MultiHeadAttention(Module):
         dim: int,
         num_heads: int,
         dropout: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
         if dim % num_heads != 0:
             raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
-        rng = rng or np.random.default_rng()
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads

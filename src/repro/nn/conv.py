@@ -10,7 +10,7 @@ implement here.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -45,10 +45,9 @@ class HorizontalConv(Module):
         embed_dim: int,
         heights: List[int],
         num_filters: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.heights = list(heights)
         self.num_filters = num_filters
         self.filters = []
@@ -81,9 +80,8 @@ class VerticalConv(Module):
     vector applied across the sequence for every embedding dimension.
     """
 
-    def __init__(self, seq_len: int, num_filters: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, seq_len: int, num_filters: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.seq_len = seq_len
         self.num_filters = num_filters
         self.weight = Parameter(init.xavier_uniform((num_filters, seq_len), rng))

@@ -93,7 +93,7 @@ def layer_norm(
 def dropout(
     x: Tensor,
     rate: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     training: bool = True,
     cut: int = 0,
 ) -> Tensor:
@@ -108,8 +108,6 @@ def dropout(
         return x
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    if rng is None:
-        rng = np.random.default_rng()
     keep = 1.0 - rate
     shape, columns = x.shape, ()
     if cut:

@@ -26,10 +26,10 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
@@ -54,11 +54,11 @@ class Embedding(Module):
         num_embeddings: int,
         embedding_dim: int,
         padding_idx: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         std: float = 0.02,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
         self.padding_idx = padding_idx
@@ -95,12 +95,12 @@ class LayerNorm(Module):
 class Dropout(Module):
     """Inverted dropout; inert in eval mode."""
 
-    def __init__(self, rate: float, rng: Optional[np.random.Generator] = None):
+    def __init__(self, rate: float, rng: np.random.Generator):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = rng or np.random.default_rng()
+        self.rng = rng
 
     def forward(self, x: Tensor, cut: int = 0) -> Tensor:
         """``cut``: ``x`` is columns ``cut:`` of a wider batch (see
@@ -124,10 +124,10 @@ class PositionwiseFeedForward(Module):
         dim: int,
         hidden_dim: int,
         dropout: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng()
         if hidden_dim <= dim:
             # Paper requires d_h > d; we allow equality for tiny test configs
             # but never shrink.

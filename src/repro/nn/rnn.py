@@ -21,9 +21,8 @@ from .tensor import Tensor, concatenate, stack
 class GRUCell(Module):
     """Gated recurrent unit cell (Cho et al., 2014)."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         # Fused gates: reset, update, candidate.
@@ -47,7 +46,7 @@ class GRU(Module):
     Input: (batch, seq, input_dim) -> output (batch, seq, hidden_dim).
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         super().__init__()
         self.cell = GRUCell(input_dim, hidden_dim, rng=rng)
         self.hidden_dim = hidden_dim
@@ -65,9 +64,8 @@ class GRU(Module):
 class LSTMCell(Module):
     """Standard LSTM cell."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         # Fused gates: input, forget, cell, output.
@@ -98,9 +96,8 @@ class STGNCell(Module):
     used for the output, following Zhao et al. (2019).
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.base = LSTMCell(input_dim, hidden_dim, rng=rng)
         self.hidden_dim = hidden_dim
         # Interval gates: each sees the input vector plus a scalar interval.

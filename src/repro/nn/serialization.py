@@ -66,7 +66,7 @@ def set_io_fault_hook(hook):
     Returns the previously installed hook so callers can restore it —
     ``repro.faults.state.fault_injection`` is the only intended caller.
     """
-    global _io_fault_hook
+    global _io_fault_hook  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
     previous = _io_fault_hook
     _io_fault_hook = hook
     return previous

@@ -119,13 +119,13 @@ class grad_arena:
         self._arena = arena or GradArena()
 
     def __enter__(self) -> GradArena:
-        global _arena
+        global _arena  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
         self._prev = _arena
         _arena = self._arena
         return self._arena
 
     def __exit__(self, *exc):
-        global _arena
+        global _arena  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
         _arena = self._prev
         return False
 
@@ -160,7 +160,7 @@ def set_op_profiler(profiler):
     Returns the previously installed hook so callers can restore it —
     ``repro.obs.opprof.op_profile`` is the only intended caller.
     """
-    global _op_profiler
+    global _op_profiler  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
     previous = _op_profiler
     _op_profiler = profiler
     return previous
@@ -172,7 +172,7 @@ def set_fault_hook(hook):
     Returns the previously installed hook so callers can restore it —
     ``repro.faults.state.fault_injection`` is the only intended caller.
     """
-    global _fault_hook
+    global _fault_hook  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
     previous = _fault_hook
     _fault_hook = hook
     return previous
@@ -182,13 +182,13 @@ class no_grad:
     """Context manager disabling graph construction (eval / inference)."""
 
     def __enter__(self):
-        global _grad_enabled
+        global _grad_enabled  # repro-lint: disable=REPRO-STATE -- context-manager toggle, restored on __exit__
         self._prev = _grad_enabled
         _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
+        global _grad_enabled  # repro-lint: disable=REPRO-STATE -- context-manager toggle; restores the value __enter__ saved
         _grad_enabled = self._prev
         return False
 

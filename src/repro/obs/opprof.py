@@ -160,7 +160,7 @@ class op_profile:
 
     # -- installation --------------------------------------------------
     def __enter__(self) -> OpProfile:
-        global _active
+        global _active  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
         self._prev = _active
         self._prev_tensor = set_op_profiler(self)
         _active = self
@@ -168,7 +168,7 @@ class op_profile:
         return self.profile
 
     def __exit__(self, *exc) -> bool:
-        global _active
+        global _active  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
         _active = self._prev
         set_op_profiler(self._prev_tensor)
         return False

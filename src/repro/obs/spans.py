@@ -147,7 +147,7 @@ class _Span:
                 _stack.remove(record)
             return False
         if self._is_root:
-            _finished.append(record)
+            _finished.append(record)  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
         if _state._enabled:
             REGISTRY.histogram(SPAN_HISTOGRAM, {"span": record.name}).observe(
                 record.duration_s
@@ -176,7 +176,7 @@ def clear_trace() -> None:
     """Drop all completed spans and abandon the calling thread's open
     ones (other threads' open stacks are left to unwind on their own —
     their in-flight records were never shared)."""
-    _finished.clear()
+    _finished.clear()  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
     _stack_of_thread().clear()
 
 

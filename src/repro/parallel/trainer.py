@@ -505,7 +505,7 @@ class DataParallelTrainer:
                     # Every rank evaluates (identical replicas produce the
                     # identical metric) so the stop decision needs no
                     # broadcast and control flow stays in lockstep.
-                    from ..eval.protocol import evaluate  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the core<->eval import cycle; runs once per epoch, not per query
+                    from ..eval.protocol import evaluate  # deferred: eval -> baselines -> parallel is an import cycle
 
                     model.eval()
                     with _span("train.validate"):

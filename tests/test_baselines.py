@@ -196,7 +196,7 @@ class TestNeuralBaselineSpecifics:
         from repro.baselines.sasrec import SASRec
 
         with pytest.raises(ValueError):
-            SASRec(num_pois=10, use_interval_bias=True)
+            SASRec(num_pois=10, use_interval_bias=True, rng=np.random.default_rng(0))
 
     def test_tisasrec_buckets(self, micro_dataset):
         model = make_recommender("TiSASRec", micro_dataset, max_len=8, dim=12, num_buckets=16)

@@ -72,13 +72,13 @@ class TestTruncation:
 
     def test_strict_false_still_raises(self, saved, tmp_path):
         path, _ = saved
-        module = Linear(4, 3)
+        module = Linear(4, 3, rng=np.random.default_rng(0))
         save_checkpoint(module, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         for strict in (True, False):
             with pytest.raises(CheckpointCorruptionError):
-                load_checkpoint(Linear(4, 3), path, strict=strict)
+                load_checkpoint(Linear(4, 3, rng=np.random.default_rng(0)), path, strict=strict)
 
 
 class TestBitFlips:
@@ -234,6 +234,6 @@ class TestTrainerCheckpointSkipping:
 
     def test_model_checkpoint_rejected_as_trainer_checkpoint(self, tmp_path):
         path = tmp_path / "ckpt-0000000001.npz"
-        save_checkpoint(Linear(3, 2), path)
+        save_checkpoint(Linear(3, 2, rng=np.random.default_rng(0)), path)
         with pytest.raises(CheckpointError, match="not a trainer checkpoint"):
             TrainerCheckpoint.load(path)

@@ -1,73 +1,13 @@
-"""Tests for the extended metrics and the paired bootstrap."""
+"""Tests for the per-instance metric vectors and the paired bootstrap."""
 
 import numpy as np
 import pytest
 
 from repro.eval import (
-    catalogue_coverage,
-    geographic_diversity,
-    map_at_k,
-    mrr,
     paired_bootstrap,
     per_instance_hits,
     per_instance_ndcg,
 )
-
-
-class TestMRRAndMAP:
-    def test_mrr_perfect(self):
-        assert mrr(np.array([1, 1, 1])) == pytest.approx(1.0)
-
-    def test_mrr_values(self):
-        assert mrr(np.array([1, 2, 4])) == pytest.approx((1 + 0.5 + 0.25) / 3)
-
-    def test_mrr_empty(self):
-        assert mrr(np.array([])) == 0.0
-
-    def test_map_equals_mrr_within_cutoff(self):
-        ranks = np.array([1, 3, 5])
-        assert map_at_k(ranks, 10) == pytest.approx(mrr(ranks))
-
-    def test_map_cutoff(self):
-        assert map_at_k(np.array([6]), 5) == 0.0
-        assert map_at_k(np.array([5]), 5) == pytest.approx(0.2)
-
-    def test_map_monotone_in_k(self):
-        ranks = np.random.default_rng(0).integers(1, 30, size=50)
-        values = [map_at_k(ranks, k) for k in (1, 5, 10, 20)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-class TestCoverageAndDiversity:
-    def test_coverage_full(self):
-        recs = [np.array([1, 2]), np.array([3, 4, 5])]
-        assert catalogue_coverage(recs, 5) == pytest.approx(1.0)
-
-    def test_coverage_partial_ignores_padding(self):
-        recs = [np.array([1, 1, 0])]
-        assert catalogue_coverage(recs, 4) == pytest.approx(0.25)
-
-    def test_coverage_validation(self):
-        with pytest.raises(ValueError):
-            catalogue_coverage([], 0)
-
-    def test_diversity_zero_for_identical(self):
-        coords = np.zeros((5, 2))
-        coords[1:] = [[43.0, 125.0]] * 4
-        recs = np.array([[1, 1, 1]])
-        assert geographic_diversity(recs, coords) == pytest.approx(0.0)
-
-    def test_diversity_positive_for_spread(self):
-        coords = np.array([[0, 0], [43.0, 125.0], [44.0, 126.0], [45.0, 127.0]])
-        recs = np.array([[1, 2, 3]])
-        assert geographic_diversity(recs, coords) > 50.0
-
-    def test_diversity_shape_validation(self):
-        with pytest.raises(ValueError):
-            geographic_diversity(np.array([1, 2, 3]), np.zeros((5, 2)))
-
-    def test_diversity_single_item(self):
-        assert geographic_diversity(np.array([[1]]), np.zeros((2, 2))) == 0.0
 
 
 class TestPairedBootstrap:
@@ -96,9 +36,9 @@ class TestPairedBootstrap:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            paired_bootstrap(np.ones(3), np.ones(4))
+            paired_bootstrap(np.ones(3), np.ones(4), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            paired_bootstrap(np.array([]), np.array([]))
+            paired_bootstrap(np.array([]), np.array([]), rng=np.random.default_rng(0))
 
     def test_per_instance_helpers(self):
         ranks = np.array([1, 6, 11])

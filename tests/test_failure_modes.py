@@ -105,7 +105,7 @@ class TestMalformedInputsRaise:
             },
         )
         with pytest.raises(ValueError):
-            NearestNegativeSampler(ds, num_negatives=5)
+            NearestNegativeSampler(ds, num_negatives=5, rng=np.random.default_rng(0))
 
     def test_world_config_rejects_nonsense(self):
         with pytest.raises(ValueError):
@@ -114,7 +114,10 @@ class TestMalformedInputsRaise:
     def test_stisan_rejects_wrong_coord_count(self, micro_dataset):
         cfg = STiSANConfig.small(max_len=8, poi_dim=8, geo_dim=8)
         with pytest.raises(ValueError):
-            STiSAN(micro_dataset.num_pois, micro_dataset.poi_coords[:-2], cfg)
+            STiSAN(
+                micro_dataset.num_pois, micro_dataset.poi_coords[:-2], cfg,
+                rng=np.random.default_rng(0),
+            )
 
     def test_linear_shape_mismatch_raises(self, rng):
         layer = Linear(4, 2, rng=rng)

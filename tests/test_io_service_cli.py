@@ -11,6 +11,7 @@ from repro.core import (
     STiSANConfig,
     validation_split,
 )
+from repro.core.checkpoint import TrainerCheckpoint
 from repro.core.stisan import STiSAN
 from repro.data import (
     load_dataset_snapshot,
@@ -187,12 +188,12 @@ class TestEarlyStopping:
 
     def test_restore_before_any_epoch_raises(self):
         with pytest.raises(RuntimeError, match="no validation epoch"):
-            EarlyStopping().restore_best(Linear(2, 2))
+            EarlyStopping().restore_best(Linear(2, 2, rng=np.random.default_rng(0)))
 
     def test_restore_without_snapshot(self):
         es = EarlyStopping()
         es.update(0, float("-inf"))  # epoch ran, but no snapshot was taken
-        assert not es.restore_best(Linear(2, 2))
+        assert not es.restore_best(Linear(2, 2, rng=np.random.default_rng(0)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -216,9 +217,9 @@ class TestValidationSplit:
     def test_fraction_validation(self, micro_dataset):
         train, _ = partition(micro_dataset, n=10)
         with pytest.raises(ValueError):
-            validation_split(train, fraction=0.0)
+            validation_split(train, fraction=0.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            validation_split([], fraction=0.5)
+            validation_split([], fraction=0.5, rng=np.random.default_rng(0))
 
 
 class TestCLI:
@@ -260,6 +261,23 @@ class TestCLI:
             "--checkpoint", str(ckpt), "--candidates", "30",
         ]) == 0
         assert "HR@5" in capsys.readouterr().out
+
+    def test_train_checkpoint_dir_keeps_worker_flags(self, tmp_path):
+        """--checkpoint-dir must not drop --workers/--grad-shards: the run
+        stays on the data-parallel trainer, whose fingerprint carries
+        grad_shards."""
+        data = tmp_path / "ds.npz"
+        cli_main(["generate", "--profile", "changchun", "--scale", "0.15",
+                  "--seed", "2", "--out", str(data)])
+        ckpt_dir = tmp_path / "ck"
+        assert cli_main([
+            "train", "--data", str(data), "--model", "STiSAN",
+            "--epochs", "1", "--max-len", "8", "--dim", "8", "--quiet",
+            "--workers", "1", "--grad-shards", "2",
+            "--checkpoint-dir", str(ckpt_dir),
+        ]) == 0
+        ckpt, _ = TrainerCheckpoint.load_latest(ckpt_dir)
+        assert ckpt.fingerprint["grad_shards"] == 2
 
     def test_compare(self, tmp_path, capsys):
         data = tmp_path / "ds.npz"

@@ -6,6 +6,7 @@ requirement), the CLI exit codes, and — crucially — the self-gate:
 linting the repo's own ``src/`` tree must produce zero findings.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -596,19 +597,19 @@ class TestEngineAndCli:
         # a leading option reaches repro.lint's parser too
         assert cli_main(["check", "--list-rules"]) == 0
 
-    def test_repro_check_forwards_baseline_and_gradcheck_flags(self, tmp_path, capsys):
-        (tmp_path / "pyproject.toml").write_text("[project]\nname='scratch'\n")
-        bad = write_scratch(tmp_path, "import torch\n")
-        baseline = tmp_path / "elsewhere.json"
-        gradcheck = tmp_path / "test_gradcheck.py"
-        gradcheck.write_text("")
-        flags = ["--baseline", str(baseline), "--gradcheck-file", str(gradcheck)]
-        assert cli_main(["check", str(bad), "--write-baseline", *flags]) == 0
-        assert baseline.is_file()
-        capsys.readouterr()
-        # the finding is absorbed only through the forwarded --baseline path
-        assert cli_main(["check", str(bad), "--quiet", *flags]) == 0
-        assert cli_main(["check", str(bad), "--quiet"]) == 1
+    def test_repro_check_forwards_json_and_gradcheck_flags(self, tmp_path, capsys):
+        op = write_scratch(tmp_path, OP_WITH_BACKWARD)
+        gradcheck = tmp_path / "elsewhere.py"
+        gradcheck.write_text("def test_nothing():\n    pass\n")
+        out = tmp_path / "findings.json"
+        # no gradcheck module is discoverable from tmp_path, so 'doubled'
+        # is reported uncovered only through the forwarded flag
+        assert cli_main(["check", str(op), "--quiet"]) == 0
+        flags = ["--gradcheck-file", str(gradcheck), "--json", str(out)]
+        assert cli_main(["check", str(op), "--quiet", *flags]) == 1
+        records = json.loads(out.read_text())
+        assert [r["rule_id"] for r in records] == ["REPRO-GRADCHECK"]
+        assert "doubled" in records[0]["message"]
 
     @pytest.mark.slow  # spawns a fresh python -m repro.lint subprocess
     def test_module_invocation_all_violation_classes(self, tmp_path):

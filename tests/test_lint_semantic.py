@@ -1,7 +1,7 @@
 """Tests for the dataflow analysis framework and the semantic rule
 families: CFG construction, the fixpoint engine, the taint lattice, the
 per-module symbol table, golden findings on the vendored corpus, the
-old-vs-new REPRO-F64 comparison, the baseline, JSON export, and the CLI
+old-vs-new REPRO-F64 comparison, unused suppressions, JSON export, and the CLI
 surface (--explain/--list-rules/...)."""
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_paths
-from repro.lint.baseline import Baseline, BASELINE_FILENAME
 from repro.lint.cfg import build_cfg
 from repro.lint.dataflow import Definition, ReachingDefinitions
 from repro.lint.engine import main, run_lint
@@ -36,9 +35,7 @@ def _parse_fn(source: str) -> ast.FunctionDef:
 
 
 def write_project(tmp_path: Path, files: dict) -> Path:
-    """A scratch project with a root marker so the engine discovers a
-    root (the baseline lands inside tmp_path, not the real repo)."""
-    (tmp_path / "pyproject.toml").write_text("[project]\nname='scratch'\n")
+    """A scratch project: ``files`` maps relative path to source."""
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -321,7 +318,7 @@ class TestSymbols:
 class TestCorpusGolden:
     def test_expected_findings_exact(self):
         expected = json.loads((CORPUS / "expected.json").read_text())
-        run = run_lint([CORPUS], use_baseline=False)
+        run = run_lint([CORPUS])
         actual: dict = {rel: [] for rel in expected}
         for f in run.findings:
             rel = Path(f.path).resolve().relative_to(CORPUS.resolve()).as_posix()
@@ -330,10 +327,7 @@ class TestCorpusGolden:
         assert actual == expected
 
     def test_clean_file_has_no_findings(self):
-        findings = lint_paths(
-            [CORPUS / "src/repro/nn/clean_pinned.py"],
-            use_baseline=False,
-        )
+        findings = lint_paths([CORPUS / "src/repro/nn/clean_pinned.py"])
         assert findings == []
 
 
@@ -381,7 +375,7 @@ class TestOldVsNewF64:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
+# Unused suppressions
 # ---------------------------------------------------------------------------
 
 
@@ -393,106 +387,30 @@ NN_LEAKY = """
         return rng.random(n)
 """
 
+SUPPRESSED = "np.random.default_rng()  # repro-lint: disable=REPRO-DET-SEED -- fixture"
 
-class TestBaseline:
-    def test_baseline_suppresses_then_goes_stale(self, tmp_path, capsys):
-        root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
-        src = root / "src"
-        assert len(lint_paths([src])) == 1
 
-        rc = main(["--write-baseline", str(src)])
-        assert rc == 0
-        assert (root / BASELINE_FILENAME).is_file()
-        capsys.readouterr()
-
-        # baselined: the gate is green again
-        assert lint_paths([src]) == []
-
-        # fix the violation: the entry is stale, not matching anything
-        (root / "src/repro/data/mod.py").write_text(
-            textwrap.dedent(
-                """
-                import numpy as np
-
-                def f(n):
-                    rng = np.random.default_rng(7)
-                    return rng.random(n)
-                """
-            )
-        )
-        run = run_lint([src])
-        assert run.findings == []
-        assert len(run.stale_baseline) == 1
-
-    def test_subset_run_counts_no_stale_entries_for_unlinted_files(
-        self, tmp_path, capsys
-    ):
+class TestUnusedSuppression:
+    def test_suppression_that_silences_a_finding_passes(self, tmp_path):
         root = write_project(
             tmp_path,
-            {"src/repro/data/mod.py": NN_LEAKY, "src/repro/data/other.py": NN_LEAKY},
+            {"src/repro/data/mod.py": NN_LEAKY.replace("np.random.default_rng()", SUPPRESSED)},
         )
-        assert main(["--write-baseline", str(root / "src")]) == 0
-        capsys.readouterr()
-
-        # other.py's entry still matches its (unlinted) violation
-        run = run_lint([root / "src/repro/data/mod.py"])
-        assert run.findings == []
-        assert run.stale_baseline == []
-        assert main([str(root / "src/repro/data/mod.py")]) == 0
-        assert "stale" not in capsys.readouterr().err
-
-    def test_subset_write_baseline_keeps_unlinted_entries(self, tmp_path, capsys):
-        root = write_project(
-            tmp_path,
-            {"src/repro/data/mod.py": NN_LEAKY, "src/repro/data/other.py": NN_LEAKY},
-        )
-        bpath = root / BASELINE_FILENAME
-        assert main(["--write-baseline", str(root / "src")]) == 0
-        doc = json.loads(bpath.read_text())
-        for entry in doc["entries"]:
-            entry["justification"] = f"reviewed: {entry['path']}"
-        bpath.write_text(json.dumps(doc))
-
-        assert main(["--write-baseline", str(root / "src/repro/data/mod.py")]) == 0
-        capsys.readouterr()
-        entries = Baseline.load(bpath).entries.values()
-        assert sorted((e.path, e.justification) for e in entries) == [
-            ("src/repro/data/mod.py", "reviewed: src/repro/data/mod.py"),
-            ("src/repro/data/other.py", "reviewed: src/repro/data/other.py"),
-        ]
         assert lint_paths([root / "src"]) == []
+        assert main([str(root / "src")]) == 0
 
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
-        src = root / "src"
-        run = run_lint([src], use_baseline=False)
-        baseline = Baseline.from_findings(
-            run.pre_baseline, root, run.sources, None, run.paths
+    def test_suppression_that_silences_nothing_fails(self, tmp_path, capsys):
+        """Fixing the violation leaves the comment behind; it goes stale
+        loudly instead of hiding the next violation on that line."""
+        fixed = NN_LEAKY.replace(
+            "np.random.default_rng()", SUPPRESSED.replace("default_rng()", "default_rng(7)")
         )
-        baseline.save(root / BASELINE_FILENAME)
-        # shift every line down: content-addressed fingerprints still match
-        original = (root / "src/repro/data/mod.py").read_text()
-        (root / "src/repro/data/mod.py").write_text(
-            "# a comment\n# another\n" + original
-        )
-        assert lint_paths([src]) == []
-
-    def test_new_violation_still_fails(self, tmp_path):
-        root = write_project(tmp_path, {"src/repro/data/mod.py": NN_LEAKY})
-        src = root / "src"
-        run = run_lint([src], use_baseline=False)
-        Baseline.from_findings(
-            run.pre_baseline, root, run.sources, None, run.paths
-        ).save(root / BASELINE_FILENAME)
-        original = (root / "src/repro/data/mod.py").read_text()
-        (root / "src/repro/data/mod.py").write_text(
-            original + "\n\ndef g():\n    import time\n    return time.time()\n"
-        )
-        findings = lint_paths([src])
-        assert {f.rule_id for f in findings} == {
-            "REPRO-DET-CLOCK",
-            "REPRO-HOTIMPORT",
-        }
+        root = write_project(tmp_path, {"src/repro/data/mod.py": fixed})
+        findings = lint_paths([root / "src"])
+        assert [(f.line, f.rule_id) for f in findings] == [(5, "REPRO-SUP")]
+        assert "silences no finding" in findings[0].message
+        assert main([str(root / "src"), "--quiet"]) == 1
+        assert "REPRO-SUP" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +479,7 @@ def _lint_snippet(tmp_path, rel: str, source: str):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return lint_paths([path], use_baseline=False)
+    return lint_paths([path])
 
 
 class TestDeterminismRules:

@@ -1,75 +1,10 @@
-"""Tests for the extra Markov baseline and the added activations."""
+"""Tests for the added activations."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import make_recommender
-from repro.core import TrainConfig
-from repro.data import partition
-from repro.eval.protocol import evaluate
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-
-
-class TestMarkovBaseline:
-    @pytest.fixture(scope="class")
-    def fitted(self, micro_dataset):
-        train, evaluation = partition(micro_dataset, n=10)
-        model = make_recommender("Markov", micro_dataset)
-        model.fit(micro_dataset, train, TrainConfig(epochs=1))
-        return model, evaluation
-
-    def test_scores_follow_transition_counts(self, fitted, micro_dataset):
-        model, _ = fitted
-        # Find the most frequent observed transition.
-        dense = np.asarray(model.transitions.todense())
-        i, j = np.unravel_index(np.argmax(dense), dense.shape)
-        other = 1 if j != 1 else 2
-        src = np.array([[0, int(i)]])
-        t = np.array([[0.0, 1.0]])
-        scores = model.score_candidates(src, t, np.array([[int(j), other]]))
-        assert scores[0, 0] > scores[0, 1]
-
-    def test_backoff_to_popularity(self, fitted, micro_dataset):
-        """For a previous POI with no outgoing counts toward either
-        candidate, popularity decides."""
-        model, _ = fitted
-        pop = model.popularity
-        hot = int(np.argmax(pop))
-        cold = int(np.argmin(pop[1:])) + 1
-        if hot == cold:
-            pytest.skip("degenerate popularity")
-        dense = np.asarray(model.transitions.todense())
-        # Pick a previous POI with zero transitions to both candidates.
-        prev = next(
-            (p for p in range(1, micro_dataset.num_pois + 1)
-             if dense[p, hot] == 0 and dense[p, cold] == 0),
-            None,
-        )
-        if prev is None:
-            pytest.skip("no transition-free previous POI")
-        scores = model.score_candidates(
-            np.array([[0, prev]]), np.array([[0.0, 1.0]]), np.array([[hot, cold]])
-        )
-        assert scores[0, 0] > scores[0, 1]
-
-    def test_beats_random_on_eval(self, fitted, micro_dataset):
-        model, evaluation = fitted
-        report = evaluate(model, micro_dataset, evaluation, num_candidates=20)
-        # 21 candidates -> random HR@10 ~ 0.48; Markov should clear the
-        # popularity floor comfortably on clustered synthetic data.
-        assert report.hr10 > 0.2
-
-    def test_unfitted_raises(self, micro_dataset):
-        model = make_recommender("Markov", micro_dataset)
-        with pytest.raises(RuntimeError):
-            model.score_candidates(np.array([[1]]), np.array([[0.0]]), np.array([[1]]))
-
-    def test_smoothing_validation(self, micro_dataset):
-        from repro.baselines.markov import MarkovChain
-
-        with pytest.raises(ValueError):
-            MarkovChain(smoothing=-1.0)
 
 
 def _numerical_grad(fn, x, eps=1e-3):

@@ -75,9 +75,9 @@ class TestMultiHeadLayer:
 
     def test_invalid_heads(self):
         with pytest.raises(ValueError):
-            IntervalAwareAttentionLayer(8, num_heads=3)
+            IntervalAwareAttentionLayer(8, num_heads=3, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            IntervalAwareAttentionLayer(8, num_heads=0)
+            IntervalAwareAttentionLayer(8, num_heads=0, rng=np.random.default_rng(0))
 
 
 class TestMultiHeadBlockAndModel:

@@ -86,7 +86,7 @@ class TestMultiHeadAttention:
 
     def test_indivisible_heads_raises(self):
         with pytest.raises(ValueError):
-            nn.MultiHeadAttention(7, 2)
+            nn.MultiHeadAttention(7, 2, rng=np.random.default_rng(0))
 
     def test_gradients_flow(self, rng):
         mha = nn.MultiHeadAttention(8, 2, rng=rng)

@@ -95,9 +95,9 @@ class TestLayerNormDropout:
 
     def test_dropout_rate_validation(self):
         with pytest.raises(ValueError):
-            nn.Dropout(1.0)
+            nn.Dropout(1.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nn.Dropout(-0.1)
+            nn.Dropout(-0.1, rng=np.random.default_rng(0))
 
     def test_ffn_shape_and_hidden_floor(self, rng):
         ffn = nn.PositionwiseFeedForward(8, 4, rng=rng)  # hidden < dim gets raised
@@ -119,7 +119,7 @@ class TestModuleSystem:
         assert net.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
-        seq = nn.Sequential(nn.Linear(2, 2, rng=rng), nn.Dropout(0.5))
+        seq = nn.Sequential(nn.Linear(2, 2, rng=rng), nn.Dropout(0.5, rng=np.random.default_rng(0)))
         seq.eval()
         assert not seq[1].training
         seq.train()

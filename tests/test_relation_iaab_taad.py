@@ -193,7 +193,10 @@ class TestIAAB:
 
     def test_cannot_disable_both(self):
         with pytest.raises(ValueError):
-            IntervalAwareAttentionLayer(8, use_relation=False, use_attention=False)
+            IntervalAwareAttentionLayer(
+                8, use_relation=False, use_attention=False,
+                rng=np.random.default_rng(0),
+            )
 
     def test_weights_rows_normalized(self):
         rng = np.random.default_rng(0)

@@ -149,12 +149,12 @@ class TestBatchIterator:
 
     def test_no_shuffle_preserves_order(self):
         examples = self._examples(5)
-        batches = list(BatchIterator(examples, 2, shuffle=False))
+        batches = list(BatchIterator(examples, 2, shuffle=False, rng=np.random.default_rng(0)))
         np.testing.assert_array_equal(batches[0].src[0], examples[0].src_pois)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            BatchIterator([], 4)
+            BatchIterator([], 4, rng=np.random.default_rng(0))
 
     def test_masks(self):
         e = SequenceExample(
@@ -163,7 +163,7 @@ class TestBatchIterator:
             src_times=np.array([0.0, 0.0, 1.0, 2.0]),
             tgt_pois=np.array([0, 3, 4, 5]),
         )
-        batch = next(iter(BatchIterator([e], 1, shuffle=False)))
+        batch = next(iter(BatchIterator([e], 1, shuffle=False, rng=np.random.default_rng(0))))
         np.testing.assert_array_equal(batch.src_mask[0], [True, True, False, False])
         np.testing.assert_array_equal(batch.target_mask[0], [False, True, True, True])
 
@@ -190,7 +190,10 @@ class TestNegativeSamplers:
 
     def test_nearest_too_many_negatives(self, tiny_dataset):
         with pytest.raises(ValueError):
-            NearestNegativeSampler(tiny_dataset, num_negatives=tiny_dataset.num_pois + 1)
+            NearestNegativeSampler(
+                tiny_dataset, num_negatives=tiny_dataset.num_pois + 1,
+                rng=np.random.default_rng(0),
+            )
 
     def test_uniform_sampler_range(self, tiny_dataset):
         sampler = UniformNegativeSampler(tiny_dataset, num_negatives=4,

@@ -224,7 +224,10 @@ class TestSharedHandle:
         index = tiny_dataset.spatial_index()
         assert isinstance(index, PoiIndex)
         assert index is tiny_dataset.spatial_index()
-        sampler = NearestNegativeSampler(tiny_dataset, num_negatives=3)
+        sampler = NearestNegativeSampler(
+            tiny_dataset, num_negatives=3,
+            rng=np.random.default_rng(0),
+        )
         retriever = EvalCandidateRetriever(tiny_dataset)
         assert sampler.index is index and retriever.index is index
 
@@ -343,7 +346,10 @@ class TestSharedPools:
         assert ds.spatial_index().pools.stats.evictions >= 3 * ds.num_pois - 5
 
     def test_cached_pools_are_read_only(self, tiny_dataset):
-        sampler = NearestNegativeSampler(fresh(tiny_dataset), num_negatives=2, pool_size=8)
+        sampler = NearestNegativeSampler(
+            fresh(tiny_dataset), num_negatives=2, pool_size=8,
+            rng=np.random.default_rng(0),
+        )
         with pytest.raises(ValueError):
             sampler.pool_for(1)[0] = 2
 
@@ -453,6 +459,7 @@ class TestShardedLoss:
             num_pois=tiny_dataset.num_pois,
             poi_coords=tiny_dataset.poi_coords,
             config=STiSANConfig.small(max_len=8, poi_dim=8, geo_dim=8, num_blocks=1),
+            rng=np.random.default_rng(0),
         )
         with pytest.raises(ValueError, match="loss_shard_size"):
             DataParallelTrainer(

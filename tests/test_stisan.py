@@ -152,7 +152,10 @@ class TestGeographyEncoder:
 
     def test_invalid_pooling(self, micro_dataset):
         with pytest.raises(ValueError):
-            GeographyEncoder(micro_dataset.poi_coords, 8, pooling="max")
+            GeographyEncoder(
+                micro_dataset.poi_coords, 8, pooling="max",
+                rng=np.random.default_rng(0),
+            )
 
 
 class TestSTiSANModel:
@@ -225,7 +228,10 @@ class TestSTiSANModel:
 
     def test_coords_shape_validation(self, micro_dataset, small_cfg):
         with pytest.raises(ValueError):
-            STiSAN(micro_dataset.num_pois + 5, micro_dataset.poi_coords, small_cfg)
+            STiSAN(
+                micro_dataset.num_pois + 5, micro_dataset.poi_coords, small_cfg,
+                rng=np.random.default_rng(0),
+            )
 
     def test_return_weights(self, model_and_data, small_cfg):
         model, train, _ = model_and_data

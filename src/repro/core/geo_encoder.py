@@ -33,6 +33,25 @@ from ..nn.tensor import Tensor
 from ..obs import span
 
 
+def _sum_grams(embedded: Tensor) -> Tensor:
+    """``embedded.sum(axis=-2)`` as sequential adds over the gram axis.
+
+    numpy reduces a middle axis by the same adds in the same order
+    (bitwise equal whenever the vector axis is wider than one), but
+    about three times slower.
+    """
+    data = embedded.data
+    out = data[..., 0, :].copy()
+    for g in range(1, data.shape[-2]):
+        out += data[..., g, :]
+
+    def backward(grad: np.ndarray) -> None:
+        if embedded.requires_grad:
+            embedded._accumulate(np.broadcast_to(grad[..., None, :], data.shape))
+
+    return Tensor._make(out, (embedded,), backward)
+
+
 class GeographyEncoder(Module):
     """Encodes POI ids into geography vectors via quadkey n-grams.
 
@@ -87,14 +106,16 @@ class GeographyEncoder(Module):
                     f"POI id out of range [0, {len(self.gram_ids)}): "
                     f"min={unique[0]}, max={unique[-1]}"
                 )
-            grams = self.gram_ids[unique]                    # (U, G)
+            grams = np.take(self.gram_ids, unique, axis=0)   # (U, G)
             embedded = self.gram_embedding(grams)            # (U, G, dim)
-            if self.pooling == "attn":
-                embedded = self.attn(embedded)
-            # Mean over real (non-PAD) n-grams.
+            # Mean over real (non-PAD) n-grams.  PAD grams embed to
+            # exactly zero; attention output at them is not, so only
+            # attention pooling needs the mask.
             real = (grams != QuadkeyVocab.PAD).astype(np.float32)
+            if self.pooling == "attn":
+                embedded = self.attn(embedded) * Tensor(real[..., None])
             counts = np.maximum(real.sum(axis=-1, keepdims=True), 1.0)
-            pooled = (embedded * Tensor(real[..., None])).sum(axis=-2) * Tensor(1.0 / counts)
+            pooled = _sum_grams(embedded) * Tensor(1.0 / counts)
             table = self.project(pooled)                     # (U, dim)
             # Keep padding POIs exactly zero (project bias would leak otherwise).
             if unique.size and unique[0] == 0:

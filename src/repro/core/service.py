@@ -11,16 +11,26 @@ Two serving paths share every piece of query preparation:
 
 - :meth:`RecommendationService.recommend` scores one user per model
   call — the reference path;
-- :meth:`RecommendationService.recommend_batch` pads B live sessions
-  into a single ``(B, n)`` forward pass under ``no_grad`` and is
-  **bitwise identical** to looping ``recommend`` (the property-based
-  equivalence suite in ``tests/test_service_batching.py`` enforces it).
+- :meth:`RecommendationService.recommend_batch` does each stage once
+  for B live sessions: one batched k-NN search
+  (:meth:`~repro.geo.neighbors.PoiIndex.nearest_excluding` over every
+  anchor) for the slates the cache misses, a single ``(B, n)`` forward
+  pass under ``no_grad``, and one vectorized ``haversine`` over every
+  row's top-k.  It is **bitwise identical** to looping ``recommend``
+  (the property-based equivalence suite in
+  ``tests/test_service_batching.py`` enforces it, and checks both
+  against the per-row path they replaced).  ``distance_km`` may differ
+  from a scalar ``haversine`` call by 1-2 ulp: numpy squares an array
+  exactly but a 0-d value through ``pow``, which can be 1 ulp off.
 
 A :class:`~repro.core.cache.ServingCaches` bundle (on by default)
-memoizes candidate slates and per-sequence relation matrices;
+memoizes candidate slates and per-sequence relation matrices; a batch
+looks every row's slate up first, then fills all the misses at once.
 ``check_in`` invalidates the user's session-derived entries, and slate
 keys additionally include the session length so a stale slate is
-unrepresentable even if the cache is never invalidated.
+unrepresentable even if the cache is never invalidated.  An explicit
+slate holding an id outside ``1..num_pois`` raises ``ValueError``
+before any model call, as ``check_in`` does for an unknown POI.
 
 Both paths are instrumented with :mod:`repro.obs` spans (slate build,
 batch preparation, model forward, ranking) and request/padding-waste
@@ -243,36 +253,70 @@ class RecommendationService:
             raise ValueError(f"user {user} has no history; record a check-in first")
         return session
 
-    def _candidate_slate(self, session: UserSession, exclude_visited: bool) -> np.ndarray:
-        anchor = session.pois[-1]
-        # The session length in the key makes a stale hit impossible:
-        # any append changes the key even if invalidation never ran.
-        key = (session.user, anchor, self.num_candidates, bool(exclude_visited), len(session))
-        if self.caches is not None:
-            cached = self.caches.slates.get(key)
-            if cached is not None:
-                return cached
-        exclude = set(session.pois) if exclude_visited else {anchor}
-        slate = self._index.nearest_excluding(anchor, self.num_candidates, exclude=exclude)
-        if len(slate) == 0:
-            # Degenerate catalogue: fall back to everything but the anchor.
-            slate = np.array(
+    def _explicit_slate(self, candidates: Sequence[int]) -> np.ndarray:
+        """A caller's slate as ids, refused before any model call when
+        an id is outside the catalogue: a client's bad slate is a caller
+        bug, not a model failure for the breaker to count."""
+        slate = np.asarray(list(candidates), dtype=np.int64)
+        unknown = slate[(slate < 1) | (slate > self.dataset.num_pois)]
+        if unknown.size:
+            raise ValueError(f"unknown POI id {int(unknown[0])} in candidates")
+        return slate
+
+    def _nearest_slates(
+        self, sessions: Sequence[UserSession], exclude_visited: bool
+    ) -> List[np.ndarray]:
+        """Default slates straight from the index, in one batched k-NN
+        call: the ``num_candidates`` POIs nearest each session's anchor,
+        minus the visited ones when ``exclude_visited``."""
+        anchors = [session.pois[-1] for session in sessions]
+        excludes = [
+            set(session.pois) if exclude_visited else {anchor}
+            for session, anchor in zip(sessions, anchors)
+        ]
+        slates = self._index.nearest_excluding(anchors, self.num_candidates, exclude=excludes)
+        # Degenerate catalogue: fall back to everything but the anchor.
+        return [
+            slate if len(slate) else np.array(
                 [p for p in range(1, self.dataset.num_pois + 1) if p != anchor],
                 dtype=np.int64,
             )
-        if self.caches is not None:
-            self.caches.slates.put(key, slate, owner=session.user)
-        return slate
+            for slate, anchor in zip(slates, anchors)
+        ]
 
-    def _resolve_slate(
+    def _resolve_slates(
         self,
-        session: UserSession,
+        sessions: Sequence[UserSession],
         exclude_visited: bool,
-        candidates: Optional[Sequence[int]],
-    ) -> np.ndarray:
-        if candidates is not None:
-            return np.asarray(list(candidates), dtype=np.int64)
-        return self._candidate_slate(session, exclude_visited)
+        candidates: Optional[Sequence[Optional[Sequence[int]]]],
+    ) -> List[np.ndarray]:
+        """Every row's slate: explicit ones validated, default ones
+        looked up in the slate cache row by row, and all the misses
+        filled by one :meth:`_nearest_slates` call."""
+        slates: List[Optional[np.ndarray]] = []
+        misses: Dict[tuple, List[int]] = {}
+        for i, session in enumerate(sessions):
+            explicit = None if candidates is None else candidates[i]
+            if explicit is not None:
+                slates.append(self._explicit_slate(explicit))
+                continue
+            # The session length in the key makes a stale hit impossible:
+            # any append changes the key even if invalidation never ran.
+            key = (session.user, session.pois[-1], self.num_candidates,
+                   bool(exclude_visited), len(session))
+            slate = None if self.caches is None else self.caches.slates.get(key)
+            if slate is None:
+                misses.setdefault(key, []).append(i)
+            slates.append(slate)
+        if misses:
+            owners = [sessions[rows[0]] for rows in misses.values()]
+            found = self._nearest_slates(owners, exclude_visited)
+            for (key, rows), session, slate in zip(misses.items(), owners, found):
+                if self.caches is not None:
+                    self.caches.slates.put(key, slate, owner=session.user)
+                for i in rows:
+                    slates[i] = slate
+        return slates
 
     def _query_arrays(self, session: UserSession) -> tuple:
         src = pad_head(np.asarray(session.pois[-self.max_len:], dtype=np.int64),
@@ -297,22 +341,30 @@ class RecommendationService:
                     return self.model.score_candidates(src, times, slates)
             return self.model.score_candidates(src, times, slates)
 
-    def _package(
-        self, session: UserSession, slate: np.ndarray, scores: np.ndarray, k: int
-    ) -> List[Recommendation]:
-        order = np.argsort(-scores)[:k]
-        cur_lat, cur_lon = self.dataset.poi_coords[session.pois[-1]]
-        out = []
-        for idx in order:
-            poi = int(slate[idx])
-            lat, lon = self.dataset.poi_coords[poi]
-            out.append(
-                Recommendation(
-                    poi=poi,
-                    score=float(scores[idx]),
-                    distance_km=float(haversine(cur_lat, cur_lon, lat, lon)),
-                )
-            )
+    def _rank(
+        self,
+        sessions: Sequence[UserSession],
+        slates: Sequence[np.ndarray],
+        scores: Sequence[np.ndarray],
+        k: int,
+    ) -> List[List[Recommendation]]:
+        """Each scored row's top-k: one argsort per row, then one
+        vectorized haversine over every pick of every row."""
+        picks = [np.argsort(-row)[:k] for row in scores]
+        pois = np.concatenate([slate[pick] for slate, pick in zip(slates, picks)])
+        top = np.concatenate([row[pick] for row, pick in zip(scores, picks)])
+        anchors = np.repeat([session.pois[-1] for session in sessions], list(map(len, picks)))
+        here = self.dataset.poi_coords[anchors]
+        there = self.dataset.poi_coords[pois]
+        km = haversine(here[:, 0], here[:, 1], there[:, 0], there[:, 1])
+        flat = [
+            Recommendation(poi=poi, score=score, distance_km=distance)
+            for poi, score, distance in zip(pois.tolist(), top.tolist(), km.tolist())
+        ]
+        out, start = [], 0
+        for pick in picks:
+            out.append(flat[start:start + len(pick)])
+            start += len(pick)
         return out
 
     # ------------------------------------------------------------------
@@ -338,31 +390,19 @@ class RecommendationService:
         session: UserSession,
         k: int,
         exclude_visited: bool,
-        candidates: Optional[Sequence[int]] = None,
+        slate: Optional[np.ndarray] = None,
     ) -> List[Recommendation]:
         """Model-free ranking: nearest first, popularity as tie-break.
 
-        Recomputes the slate directly from the KD-tree index (bypassing
-        the caches — a corrupted cache entry can be the very reason we
-        are here) unless the caller supplied an explicit slate, which is
-        sanitized against the catalogue range.  Scores are negated
+        Ranks the caller's explicit ``slate`` when given (validated
+        already); otherwise recomputes the default slate directly from
+        the KD-tree index, bypassing the caches — a corrupted cache
+        entry can be the very reason we are here.  Scores are negated
         distances so "higher is better" still holds downstream.
         """
-        anchor = session.pois[-1]
-        if candidates is not None:
-            slate = np.asarray(list(candidates), dtype=np.int64)
-            slate = slate[(slate >= 1) & (slate <= self.dataset.num_pois)]
-        else:
-            exclude = set(session.pois) if exclude_visited else {anchor}
-            slate = self._index.nearest_excluding(
-                anchor, self.num_candidates, exclude=exclude
-            )
-        if len(slate) == 0:
-            slate = np.array(
-                [p for p in range(1, self.dataset.num_pois + 1) if p != anchor],
-                dtype=np.int64,
-            )
-        cur_lat, cur_lon = self.dataset.poi_coords[anchor]
+        if slate is None:
+            slate = self._nearest_slates([session], exclude_visited)[0]
+        cur_lat, cur_lon = self.dataset.poi_coords[session.pois[-1]]
         coords = self.dataset.poi_coords[slate]
         distances = haversine(cur_lat, cur_lon, coords[:, 0], coords[:, 1])
         order = np.lexsort((-self._popularity[slate], distances))[:k]
@@ -460,19 +500,14 @@ class RecommendationService:
             return []
         sessions = [self._require_session(u) for u in users]
         with span("service.slate"):
-            slates = [
-                self._resolve_slate(
-                    session, exclude_visited, None if candidates is None else candidates[i]
-                )
-                for i, session in enumerate(sessions)
-            ]
+            slates = self._resolve_slates(sessions, exclude_visited, candidates)
         results: List[List[Recommendation]] = [[] for _ in users]
         live = [i for i, slate in enumerate(slates) if slate.size > 0]
         if not live:
             return results
 
-        def row_candidates(i: int) -> Optional[Sequence[int]]:
-            return None if candidates is None else candidates[i]
+        def explicit_slate(i: int) -> Optional[np.ndarray]:
+            return None if candidates is None or candidates[i] is None else slates[i]
 
         if not self.breaker.allow_request():
             self._note_short_circuit()
@@ -480,7 +515,7 @@ class RecommendationService:
             with span("service.rank"):
                 for i in live:
                     results[i] = self._fallback_recommendations(
-                        sessions[i], k, exclude_visited, row_candidates(i)
+                        sessions[i], k, exclude_visited, explicit_slate(i)
                     )
             return results
 
@@ -546,14 +581,18 @@ class RecommendationService:
         if failed_rows and batch_scores is not None:
             self._note_model_failure()
         with span("service.rank"):
+            scored = [i for i in live if i in row_scores]
+            if scored:
+                ranked = self._rank(
+                    [sessions[i] for i in scored], [slates[i] for i in scored],
+                    [row_scores[i] for i in scored], k,
+                )
+                for i, recs in zip(scored, ranked):
+                    results[i] = recs
             for i in live:
-                if i in row_scores:
-                    results[i] = self._package(
-                        sessions[i], slates[i], row_scores[i], k
-                    )
-                else:
+                if i not in row_scores:
                     self._note_degraded(1)
                     results[i] = self._fallback_recommendations(
-                        sessions[i], k, exclude_visited, row_candidates(i)
+                        sessions[i], k, exclude_visited, explicit_slate(i)
                     )
         return results

@@ -237,9 +237,8 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray, padding_idx: Optional[
     gradient reaches ``weight`` row-sparse (:func:`row_sums`).
     """
     idx = np.asarray(indices)  # repro-lint: disable=REPRO-F64 -- integer indices, never differentiated
-    out_data = weight.data[idx]
+    out_data = np.take(weight.data, idx, axis=0)  # a fresh array, never a view
     if padding_idx is not None:
-        out_data = out_data.copy()
         out_data[idx == padding_idx] = 0.0
 
     def backward(grad: np.ndarray) -> None:

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 import repro.core.geo_encoder as geo_encoder_module
 from repro.core.geo_encoder import GeographyEncoder
+from repro.nn.functional import embedding_lookup
+from repro.nn.rowsparse import dense_grad
+from repro.nn.tensor import Tensor
 from repro.geo import (
     EARTH_RADIUS_KM,
     PoiIndex,
@@ -210,6 +213,64 @@ class TestQuadkeyNgramIds:
         out_fast = fast(poi_ids).data
         out_oracle = oracle(poi_ids).data
         assert out_fast.tobytes() == out_oracle.tobytes()
+
+
+class TestGramPooling:
+    """The encoder's gram pooling against the mask-multiply form it
+    replaced: ``(embedded * real).sum(axis=-2)``, forward and gradients
+    bitwise."""
+
+    @staticmethod
+    def mask_multiply_forward(enc, poi_ids):
+        unique, inverse = np.unique(poi_ids.astype(np.int64), return_inverse=True)
+        grams = enc.gram_ids[unique]
+        embedded = enc.gram_embedding(grams)
+        if enc.pooling == "attn":
+            embedded = enc.attn(embedded)
+        real = (grams != QuadkeyVocab.PAD).astype(np.float32)
+        counts = np.maximum(real.sum(axis=-1, keepdims=True), 1.0)
+        pooled = (embedded * Tensor(real[..., None])).sum(axis=-2) * Tensor(1.0 / counts)
+        table = enc.project(pooled)
+        if unique[0] == 0:
+            table = table.masked_fill((unique == 0)[:, None], 0.0)
+        return embedding_lookup(table, inverse.reshape(poi_ids.shape))
+
+    @staticmethod
+    def forward_and_grads(enc, forward, poi_ids, weights):
+        enc.zero_grad()
+        out = forward(poi_ids)
+        (out * Tensor(weights)).sum().backward()
+        return out.data.copy(), {
+            name: dense_grad(param.grad).copy() for name, param in enc.named_parameters()
+        }
+
+    @pytest.mark.parametrize("pooling", ["mean", "attn"])
+    @pytest.mark.parametrize("dim", [2, 8, 24])
+    def test_matches_mask_multiply(self, pooling, dim):
+        rng = np.random.default_rng(dim)
+        coords = np.vstack([
+            [0.0, 0.0],
+            np.column_stack([rng.uniform(43.8, 44.0, 30), rng.uniform(125.2, 125.5, 30)]),
+        ])
+        enc = GeographyEncoder(coords, dim, level=14, ngram=4, pooling=pooling, rng=rng)
+        # Real POIs with some PAD grams too, where attention output is
+        # not zero: only its mask keeps them out of the mean.
+        enc.gram_ids = enc.gram_ids.copy()
+        enc.gram_ids[1:6, -3:] = QuadkeyVocab.PAD
+        # Padding POIs (all-PAD gram rows) and repeated ids included.
+        poi_ids = rng.integers(0, len(coords), size=(3, 9))
+        poi_ids[0, :2] = 0
+        poi_ids[1, :5] = np.arange(1, 6)
+        weights = rng.normal(size=poi_ids.shape + (dim,)).astype(np.float32)
+        got, got_grads = self.forward_and_grads(enc, enc, poi_ids, weights)
+        want, want_grads = self.forward_and_grads(
+            enc, lambda ids: self.mask_multiply_forward(enc, ids), poi_ids, weights
+        )
+        assert got.tobytes() == want.tobytes()
+        assert got_grads.keys() == want_grads.keys()
+        for name in got_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert np.abs(got_grads["gram_embedding.weight"]).sum() > 0
 
 
 class TestNonFiniteCoordinates:

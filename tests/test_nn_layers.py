@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.functional import embedding_lookup
 from repro.nn.rowsparse import dense_grad
 from repro.nn.tensor import Tensor
 
@@ -55,6 +56,18 @@ class TestEmbedding:
             emb(np.array([10]))
         with pytest.raises(IndexError):
             emb(np.array([-1]))
+
+    def test_lookup_never_mutates_weight(self, rng):
+        weight = nn.Parameter(rng.normal(size=(6, 4)).astype(np.float32))
+        before = weight.data.copy()
+        idx = np.array([[0, 3, 0], [5, 3, 1]])
+        out = embedding_lookup(weight, idx, padding_idx=0)
+        np.testing.assert_array_equal(out.data[idx == 0], 0.0)
+        np.testing.assert_array_equal(out.data[idx != 0], before[idx[idx != 0]])
+        out.data[...] = 7.0  # the output is its own array, not a view
+        (out * 2.0).sum().backward()
+        np.testing.assert_array_equal(weight.data, before)
+        assert (dense_grad(weight.grad)[0] == 0.0).all()
 
     def test_repeated_index_accumulates_grad(self, rng):
         emb = nn.Embedding(5, 3, rng=rng)

@@ -67,11 +67,23 @@ class SlateCacheReplay:
         self.hits = self.misses = self.evictions = self.invalidations = 0
 
     def lookup_then_fill(self, key, owner):
-        if key in self.entries:
-            self.entries.move_to_end(key)
-            self.hits += 1
-            return
-        self.misses += 1
+        self.lookup_all_then_fill([(key, owner)])
+
+    def lookup_all_then_fill(self, keyed):
+        """One batch: every row looks its key up first, then the missed
+        keys are filled once each, in row order."""
+        missed = {}
+        for key, owner in keyed:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                self.hits += 1
+            else:
+                self.misses += 1
+                missed.setdefault(key, owner)
+        for key, owner in missed.items():
+            self._fill(key, owner)
+
+    def _fill(self, key, owner):
         self.entries[key] = owner
         self.entries.move_to_end(key)
         while len(self.entries) > self.maxsize:
@@ -94,7 +106,7 @@ class SlateCacheReplay:
 
 
 def slate_key(service, user):
-    """The slate-cache key ``_candidate_slate`` derives for a user's
+    """The slate-cache key ``_resolve_slates`` derives for a user's
     next default query (kept in sync with ``service.py`` by this suite:
     if the key recipe changes, reconciliation fails loudly)."""
     session = service.session(user)
@@ -121,8 +133,7 @@ def run_interleaving(seed, dataset, cached, plain, replay):
         elif op == "batch":
             size = int(rng.integers(2, min(5, len(users)) + 1))
             batch = [int(u) for u in rng.choice(users, size=size, replace=False)]
-            for user in batch:
-                replay.lookup_then_fill(slate_key(cached, user), user)
+            replay.lookup_all_then_fill([(slate_key(cached, user), user) for user in batch])
             got = cached.recommend_batch(batch, k=5)
             want = [plain.recommend(u, k=5) for u in batch]
             for user, g, w in zip(batch, got, want):

@@ -14,7 +14,9 @@ import pytest
 
 from repro.baselines import make_recommender
 from repro.core import RecommendationService, STiSANConfig
+from repro.core.service import Recommendation
 from repro.core.stisan import STiSAN
+from repro.geo import haversine
 
 MAX_LEN = 10
 
@@ -214,3 +216,155 @@ class TestBatchValidation:
         assert_batch_matches_loop(
             service, users, k=5, candidates=[[], [1, 2, 3], []]
         )
+
+
+# ----------------------------------------------------------------------
+# The per-row serving path that the batched one replaced, kept as an
+# oracle: one k-NN call per default slate, one scalar haversine per
+# recommendation, one model call per row.
+# ----------------------------------------------------------------------
+def oracle_candidate_slate(service, session, exclude_visited):
+    anchor = session.pois[-1]
+    exclude = set(session.pois) if exclude_visited else {anchor}
+    slate = service._index.nearest_excluding(anchor, service.num_candidates, exclude=exclude)
+    if len(slate) == 0:
+        slate = np.array(
+            [p for p in range(1, service.dataset.num_pois + 1) if p != anchor],
+            dtype=np.int64,
+        )
+    return slate
+
+
+def oracle_package(service, session, slate, scores, k):
+    order = np.argsort(-scores)[:k]
+    cur_lat, cur_lon = service.dataset.poi_coords[session.pois[-1]]
+    out = []
+    for idx in order:
+        poi = int(slate[idx])
+        lat, lon = service.dataset.poi_coords[poi]
+        out.append(
+            Recommendation(
+                poi=poi,
+                score=float(scores[idx]),
+                distance_km=float(haversine(cur_lat, cur_lon, lat, lon)),
+            )
+        )
+    return out
+
+
+def oracle_fallback(service, session, slate, k):
+    cur_lat, cur_lon = service.dataset.poi_coords[session.pois[-1]]
+    coords = service.dataset.poi_coords[slate]
+    distances = haversine(cur_lat, cur_lon, coords[:, 0], coords[:, 1])
+    order = np.lexsort((-service._popularity[slate], distances))[:k]
+    return [
+        Recommendation(poi=int(slate[i]), score=float(-distances[i]),
+                       distance_km=float(distances[i]), degraded=True)
+        for i in order
+    ]
+
+
+def oracle_rows(service, users, k, exclude_visited, candidates):
+    out = []
+    for i, user in enumerate(users):
+        session = service.session(user)
+        explicit = None if candidates is None else candidates[i]
+        if explicit is None:
+            slate = oracle_candidate_slate(service, session, exclude_visited)
+        else:
+            slate = np.asarray(list(explicit), dtype=np.int64)
+        if slate.size == 0:
+            out.append([])
+            continue
+        src, times = service._query_arrays(session)
+        scores = service._score(src[None], times[None], slate[None], [user])[0]
+        if np.all(np.isfinite(scores)):
+            out.append(oracle_package(service, session, slate, scores, k))
+        else:
+            out.append(oracle_fallback(service, session, slate, k))
+    return out
+
+
+def assert_matches_oracle(service, users, k, exclude_visited=True, candidates=None):
+    """ids, order, scores and ``degraded`` bitwise; ``distance_km`` to
+    2 ulp: the per-row path squares 0-d values through ``pow``, which
+    can be 1 ulp off the exact square the array path takes, and the
+    haversine chain can double that (2 ulp seen at 500k POIs)."""
+    want = oracle_rows(service, users, k, exclude_visited, candidates)
+    got = service.recommend_batch(
+        users, k=k, exclude_visited=exclude_visited, candidates=candidates
+    )
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [(r.poi, r.score, r.degraded) for r in g] == [
+            (r.poi, r.score, r.degraded) for r in w
+        ]
+        np.testing.assert_array_max_ulp(
+            np.array([r.distance_km for r in g], dtype=np.float64),
+            np.array([r.distance_km for r in w], dtype=np.float64),
+            maxulp=2,
+        )
+    return got
+
+
+class PoisonedModel:
+    """Wraps a model and returns NaN scores for every row whose last
+    check-in is ``poison``."""
+
+    def __init__(self, inner, poison):
+        self.inner, self.poison = inner, poison
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def score_candidates(self, src, times, candidates):
+        scores = np.array(self.inner.score_candidates(src, times, candidates))
+        scores[src[:, -1] == self.poison] = np.nan
+        return scores
+
+
+class TestPerRowOracle:
+    @pytest.mark.parametrize("exclude_visited", [True, False])
+    def test_cache_hits_and_misses_in_one_batch(self, micro_dataset, exclude_visited):
+        service = make_stisan_service(micro_dataset, enable_caches=True)
+        users = micro_dataset.users()[:8]
+        assert_matches_oracle(service, users, k=10, exclude_visited=exclude_visited)
+        # Fresh check-ins invalidate three users' slates; the next batch
+        # mixes their misses with the others' hits.
+        for user in users[::3]:
+            session = service.session(user)
+            service.check_in(user, session.pois[0], session.times[-1] + 60.0)
+        hits = service.caches.slates.stats.hits
+        misses = service.caches.slates.stats.misses
+        assert_matches_oracle(service, users, k=10, exclude_visited=exclude_visited)
+        assert service.caches.slates.stats.hits - hits == 5
+        assert service.caches.slates.stats.misses - misses == 3
+
+    @pytest.mark.parametrize("enable_caches", [False, True])
+    def test_explicit_slates_mixed_with_default_ones(self, micro_dataset, enable_caches, rng):
+        service = make_stisan_service(micro_dataset, enable_caches)
+        users = micro_dataset.users()[:6]
+        ids = np.arange(1, micro_dataset.num_pois + 1)
+        candidates = [
+            list(rng.choice(ids, size=13, replace=False)), None,
+            list(rng.choice(ids, size=4, replace=False)), None, [], [7],
+        ]
+        for exclude_visited in (True, False):
+            assert_matches_oracle(service, users, k=10, exclude_visited=exclude_visited,
+                                  candidates=candidates)
+
+    def test_ragged_sessions_and_repeated_users(self, micro_dataset, rng):
+        service = make_stisan_service(micro_dataset, enable_caches=True, num_candidates=35)
+        fresh = grow_random_sessions(service, micro_dataset, rng, num_new_users=4)
+        users = fresh[:2] + micro_dataset.users()[:3] + fresh[2:] + [fresh[0]]
+        assert_matches_oracle(service, users, k=12)
+
+    def test_poisoned_row(self, micro_dataset):
+        service = make_stisan_service(micro_dataset, enable_caches=True)
+        users = micro_dataset.users()[:5]
+        poison = service.session(users[2]).pois[-1]
+        assert all(service.session(u).pois[-1] != poison for u in users if u != users[2])
+        service.model = PoisonedModel(service.model, poison)
+        got = assert_matches_oracle(service, users, k=10)
+        assert all(r.degraded for r in got[2])
+        assert not any(r.degraded for row in got[:2] + got[3:] for r in row)

@@ -257,6 +257,33 @@ class TestCircuitBreaker:
         assert not any(r.degraded for r in recs)
 
 
+class TestExplicitSlateValidation:
+    """A client's bad explicit slate is the client's error: it raises
+    before any model call and never counts against the breaker."""
+
+    def test_bad_slate_raises_and_never_opens_the_breaker(self, micro_dataset):
+        service = make_service(micro_dataset)
+        bad_user, healthy = micro_dataset.users()[:2]
+        bad_slate = [1, 2, micro_dataset.num_pois + 5]
+        for _ in range(6):
+            with pytest.raises(ValueError, match="unknown POI id"):
+                service.recommend(bad_user, k=3, candidates=bad_slate)
+        assert service.health.model_failures == 0
+        assert service.breaker.state == CLOSED
+        recs = service.recommend(healthy, k=3)
+        assert len(recs) == 3 and not any(r.degraded for r in recs)
+
+    @pytest.mark.parametrize("bad_id", [0, -1, 10**9])
+    def test_batch_refuses_before_the_model(self, micro_dataset, bad_id):
+        model = ScriptedModel()
+        service = make_service(micro_dataset, model)
+        users = micro_dataset.users()[:2]
+        with pytest.raises(ValueError, match=f"unknown POI id {bad_id}"):
+            service.recommend_batch(users, k=3, candidates=[None, [3, bad_id]])
+        assert model.calls == 0
+        assert service.health.model_failures == 0
+
+
 class TestChaos:
     """Seeded chaos runs (seed from REPRO_CHAOS_SEED in CI's matrix)."""
 

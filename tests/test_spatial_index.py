@@ -219,6 +219,126 @@ class TestKnnOracle:
         )
 
 
+class TestBatchedKnn:
+    """One tree query serves a batch of anchors: every row equals its
+    single-anchor ``query`` / ``nearest_excluding`` and brute force."""
+
+    def assert_batch_matches(self, coords, anchors, k, excludes=None):
+        index = PoiIndex(coords)
+        anchors = [int(a) for a in anchors]
+        ids, km = index._knn(index._rows_of(anchors), k)
+        for row, anchor in enumerate(anchors):
+            one_ids, one_km = index.query(anchor, k)
+            expect_ids, expect_km = brute_knn(coords, anchor, k)
+            np.testing.assert_array_equal(ids[row] + 1, one_ids)
+            np.testing.assert_array_equal(km[row], one_km)
+            np.testing.assert_array_equal(one_ids, expect_ids)
+            np.testing.assert_array_equal(one_km, expect_km)
+        excludes = excludes or [set() for _ in anchors]
+        batch = index.nearest_excluding(anchors, k, exclude=excludes)
+        assert len(batch) == len(anchors)
+        for anchor, exclude, got in zip(anchors, excludes, batch):
+            np.testing.assert_array_equal(
+                got, index.nearest_excluding(anchor, k, exclude=set(exclude))
+            )
+            np.testing.assert_array_equal(
+                got, brute_excluding(coords, anchor, k, exclude)
+            )
+
+    def test_random_catalogues(self):
+        rng = np.random.default_rng(31)
+        for n in (60, 250):
+            coords = edge_case_coords(rng, n)
+            anchors = np.concatenate([np.arange(1, 8), rng.integers(1, n + 1, 12)])
+            for k in (1, 5, 40):
+                self.assert_batch_matches(coords, anchors, k)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_coincident_coordinates_tie_at_the_boundary(self, k):
+        # Seven POIs share a coordinate and three more share another:
+        # ties straddle the k-th position for some anchors, not others.
+        rng = np.random.default_rng(k)
+        coords = np.concatenate([
+            np.tile([[20.0, 30.0]], (7, 1)),
+            np.tile([[20.001, 30.0]], (3, 1)),
+            random_coords(rng, 30, lat_span=(19, 21), lon_span=(29, 31)),
+        ])
+        self.assert_batch_matches(coords, list(range(1, 41)), k)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_anchor_absent_from_its_window(self, k):
+        # More than k + 2 POIs at one coordinate: the tree's k + 2 window
+        # may hold only the anchor's twins, not the anchor itself.
+        rng = np.random.default_rng(7)
+        coords = np.concatenate([np.tile([[-5.0, 5.0]], (k + 6, 1)), random_coords(rng, 20)])
+        index = PoiIndex(coords)
+        rows = np.arange(k + 6)
+        _, idx = index._tree.query(index._xyz[rows], k=k + 2)
+        assert not (idx == rows[:, None]).any(axis=1).all()
+        self.assert_batch_matches(coords, list(range(1, k + 7)) + [k + 8], k)
+
+    def test_near_tie_at_the_boundary_takes_the_ball_path(self):
+        # lat +- d around the anchor: equal distances in exact arithmetic,
+        # km a few ulps apart, so the window alone is not trusted.
+        rng = np.random.default_rng(0)
+        anchor, d = [16.435402478574517, -78.2725173202841], 0.0050563788696832744
+        coords = np.concatenate([
+            [anchor, [anchor[0] + d, anchor[1]], [anchor[0] - d, anchor[1]]],
+            random_coords(rng, 20, lat_span=(30, 40), lon_span=(0, 10)),
+        ])
+        km = brute_knn(coords, 1, 2)[1]
+        assert 0.0 < km[1] - km[0] < km[0] * 1e-9
+        index = PoiIndex(coords)
+        index._tree = CountingTree(index._tree)
+        ids, _ = index._knn(index._rows_of([1, 4, 1]), 1)
+        assert index._tree.ball_queries == 2
+        np.testing.assert_array_equal(ids[:, 0] + 1, [brute_knn(coords, a, 1)[0][0] for a in (1, 4, 1)])
+        self.assert_batch_matches(coords, [1, 2, 3, 4], 1)
+
+    def test_k_at_or_above_catalogue_on_tiny_catalogues(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4, 6):
+            coords = random_coords(rng, n)
+            coords[-1] = coords[0]
+            for k in range(max(1, n - 3), n + 2):
+                self.assert_batch_matches(coords, list(range(1, n + 1)), k)
+
+    def test_exclude_sets_widen_the_window(self):
+        rng = np.random.default_rng(12)
+        coords = edge_case_coords(rng, 120)
+        anchors = [1, 5, 60, 60, 119]
+        # Excluding an anchor's own nearest POIs leaves only farther
+        # ones: the shared window must reach past each row's k + 1.
+        near = [set(brute_knn(coords, a, 30)[0].tolist()) for a in anchors]
+        excludes = [near[0], set(), near[2] | {77}, set(range(1, 100)), near[4]]
+        for k in (1, 10, 25):
+            self.assert_batch_matches(coords, anchors, k, excludes)
+
+    def test_repeated_anchors(self):
+        rng = np.random.default_rng(2)
+        coords = edge_case_coords(rng, 80)
+        anchors = [9, 3, 9, 5, 5, 5, 9]
+        excludes = [{1, 2}, set(), {4}, None, {6, 7}, set(), {1, 2}]
+        index = PoiIndex(coords)
+        batch = index.nearest_excluding(anchors, 12, exclude=excludes)
+        for anchor, exclude, got in zip(anchors, excludes, batch):
+            np.testing.assert_array_equal(
+                got, brute_excluding(coords, anchor, 12, exclude or set())
+            )
+        self.assert_batch_matches(coords, anchors, 12)
+
+    def test_out_of_range_and_misaligned_inputs(self):
+        index = PoiIndex(random_coords(np.random.default_rng(0), 10))
+        for bad in ([1, 11], [0], [3, -2]):
+            with pytest.raises(IndexError, match="out of range"):
+                index.nearest_excluding(bad, 3)
+        with pytest.raises(IndexError, match="out of range"):
+            index.query(11, 3)
+        with pytest.raises(ValueError, match="align"):
+            index.nearest_excluding([1, 2], 3, exclude=[set()])
+        assert index.nearest_excluding([], 3) == []
+
+
 class TestSharedHandle:
     def test_dataset_handle_cached(self, tiny_dataset):
         index = tiny_dataset.spatial_index()
@@ -494,9 +614,9 @@ class TestSlates:
             NullScorer(), micro_dataset, max_len=10, num_candidates=15
         )
         coords = micro_dataset.poi_coords[1:]
-        for user in micro_dataset.users():
-            session = service.session(user)
+        sessions = [service.session(user) for user in micro_dataset.users()]
+        slates = service._resolve_slates(sessions, exclude_visited=True, candidates=None)
+        for session, slate in zip(sessions, slates):
             np.testing.assert_array_equal(
-                service._candidate_slate(session, exclude_visited=True),
-                brute_excluding(coords, session.pois[-1], 15, set(session.pois)),
+                slate, brute_excluding(coords, session.pois[-1], 15, set(session.pois))
             )

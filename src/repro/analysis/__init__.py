@@ -20,12 +20,11 @@ from .attention_vs_relation import (
     dependency_decomposition,
     jensen_shannon,
 )
-from .render import render_heatmap, render_histogram, render_series
+from .render import render_heatmap, render_histogram
 from .taad_probe import TaadEntropyReport, attention_entropy, taad_attention_entropy
 from .trajectories import (
     UserMobilityStats,
     dataset_mobility_summary,
-    interval_histogram,
     radius_of_gyration,
     session_count,
     user_stats,
@@ -45,7 +44,6 @@ __all__ = [
     "dataset_mobility_summary",
     "radius_of_gyration",
     "session_count",
-    "interval_histogram",
     "OverlapReport",
     "attention_relation_overlap",
     "dependency_decomposition",
@@ -53,7 +51,6 @@ __all__ = [
     "jensen_shannon",
     "render_heatmap",
     "render_histogram",
-    "render_series",
     "TaadEntropyReport",
     "attention_entropy",
     "taad_attention_entropy",

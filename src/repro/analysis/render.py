@@ -79,35 +79,3 @@ def render_histogram(
         bar_len = 0 if peak <= 0 else int(round(value / peak * width))
         lines.append(f"{label:>12s} | {'#' * bar_len} {value:g}")
     return "\n".join(lines)
-
-
-def render_series(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    height: int = 10,
-    width: int = 60,
-    title: Optional[str] = None,
-) -> str:
-    """Render a y-vs-x scatter/line as a character grid."""
-    xs = np.asarray(list(xs), dtype=np.float64)
-    ys = np.asarray(list(ys), dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be equal-length 1-D")
-    if xs.size == 0:
-        return title or ""
-    grid = [[" "] * width for _ in range(height)]
-    x_lo, x_hi = xs.min(), xs.max()
-    y_lo, y_hi = ys.min(), ys.max()
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    for x, y in zip(xs, ys):
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = height - 1 - int((y - y_lo) / y_span * (height - 1))
-        grid[row][col] = "o"
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append(f"y: [{y_lo:.4g}, {y_hi:.4g}]")
-    lines.extend("".join(row) for row in grid)
-    lines.append(f"x: [{x_lo:.4g}, {x_hi:.4g}]")
-    return "\n".join(lines)

@@ -87,7 +87,7 @@ def taad_attention_entropy(
                 chunk = examples[start:start + batch_size]
                 src = np.stack([e.src_pois for e in chunk])
                 times = np.stack([e.src_times for e in chunk])
-                slates = np.stack([retriever.candidates(e.user, e.target) for e in chunk])
+                slates = retriever.candidates([e.user for e in chunk], [e.target for e in chunk])
                 encoded = model.encode(src, times).data
                 visible = src != PAD_POI
                 frac, last = attention_entropy(model.embed(slates).data, encoded, visible)

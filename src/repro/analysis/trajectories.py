@@ -97,27 +97,3 @@ def dataset_mobility_summary(
         "mean_exploration_rate": float(np.mean([s.exploration_rate for s in stats])),
         "mean_sessions_per_user": float(np.mean([s.num_sessions for s in stats])),
     }
-
-
-def interval_histogram(
-    dataset: CheckInDataset, bins_hours: List[float] | None = None
-) -> Dict[str, np.ndarray]:
-    """Histogram of inter-check-in gaps across all users (Fig. 5a style).
-
-    Returns bin edges (hours) and counts.  LBSN data is strongly
-    bimodal: an intra-day mode (hours) and a multi-day mode.
-    """
-    edges = np.asarray(
-        bins_hours if bins_hours is not None else [0, 1, 3, 6, 12, 24, 72, 168, 720],
-        dtype=np.float64,
-    )
-    if (np.diff(edges) <= 0).any():
-        raise ValueError("bin edges must be strictly increasing")
-    gaps = []
-    for user in dataset.users():
-        times = dataset.sequences[user].times
-        if len(times) > 1:
-            gaps.append(np.diff(times) / SECONDS_PER_HOUR)
-    all_gaps = np.concatenate(gaps) if gaps else np.array([])
-    counts, _ = np.histogram(all_gaps, bins=edges)
-    return {"edges_hours": edges, "counts": counts}

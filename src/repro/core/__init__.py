@@ -9,7 +9,7 @@ from .early_stopping import EarlyStopping, validation_split
 from .service import Recommendation, RecommendationService, ServiceHealth, UserSession
 from .geo_encoder import GeographyEncoder
 from .iaab import IntervalAwareAttentionBlock, IntervalAwareAttentionLayer
-from .loss import bce_loss_single_negative, weighted_bce_loss, weighted_bce_loss_sharded
+from .loss import weighted_bce_loss, weighted_bce_loss_sharded
 from .relation import (
     RelationConfig,
     build_relation_matrix,
@@ -49,7 +49,6 @@ __all__ = [
     "step_causal_mask",
     "weighted_bce_loss",
     "weighted_bce_loss_sharded",
-    "bce_loss_single_negative",
     "STiSAN",
     "train_stisan",
     "TrainResult",

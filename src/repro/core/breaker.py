@@ -1,32 +1,17 @@
 """A deterministic circuit breaker for the model-scoring path.
 
-Classic closed → open → half-open automaton.  Two recovery modes:
-
-- **request-count mode** (the default, fully deterministic): after
-  ``recovery_requests`` short-circuited requests the breaker moves to
-  half-open and admits one probe.  Chaos tests replay identically
-  because no clock is involved.
-- **time-based mode** (``recovery_time_s``): the breaker stays open
-  for a recovery *window* measured on a monotonic clock and re-opens
-  with jittered exponential backoff after every failed half-open probe
-  (``window = recovery_time_s * backoff_factor**failures``, capped at
-  ``max_recovery_time_s``, stretched by up to ``jitter`` fraction drawn
-  from a seeded generator).  The clock is injected (``time_source``,
-  defaulting to the sanctioned :func:`repro.obs.perf_counter`) so tests
-  drive it manually and the ``REPRO-DET-CLOCK`` lint never sees a raw
-  wall-clock read in ``core/``.
-
-State machine, common to both modes:
+Classic closed → open → half-open automaton, driven by request counts
+alone: no clock is involved, so chaos tests replay identically.
 
 - **closed** — requests flow to the model.  ``failure_threshold``
   consecutive model failures trip the breaker open (one success resets
   the streak).
 - **open** — the model is skipped entirely; requests short-circuit to
-  the degraded fallback until the recovery condition (count or window)
-  is met, then the breaker moves to half-open.
+  the degraded fallback.  After ``recovery_requests`` short-circuited
+  requests the breaker moves to half-open.
 - **half-open** — exactly one probe request is allowed through to the
-  model.  Success closes the breaker; failure re-opens it (and restarts
-  the recovery countdown / widens the backoff window).
+  model.  Success closes the breaker; failure re-opens it and restarts
+  the recovery countdown.
 
 State transitions are counted in ``repro_breaker_transitions_total``
 (labelled ``from``/``to``) and the current state is exported as the
@@ -36,12 +21,7 @@ observability is enabled.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
-
 from ..obs import REGISTRY
-from ..obs import perf_counter as _perf_counter
 from ..obs import state as _obs
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
@@ -54,43 +34,17 @@ _STATE_GAUGE = {CLOSED: 0, OPEN: 1, HALF_OPEN: 2}
 
 
 class CircuitBreaker:
-    """Request-count- or time-driven breaker (see module docstring).
+    """Request-count-driven breaker (see module docstring).
 
     Parameters
     ----------
     failure_threshold : consecutive model failures that trip the
         breaker open from the closed state.
     recovery_requests : short-circuited requests before a half-open
-        probe (request-count mode; ignored when ``recovery_time_s``
-        is set).
-    recovery_time_s : when not None, switch to time-based recovery —
-        the breaker stays open for this many seconds (monotonic)
-        before admitting a probe.
-    backoff_factor : multiplier applied to the recovery window after
-        every *consecutive* failed probe (time-based mode only).
-    max_recovery_time_s : upper cap on the backed-off window; defaults
-        to ``32 * recovery_time_s``.
-    jitter : fraction in [0, 1] — each window is stretched by
-        ``1 + jitter * u`` with ``u`` drawn from a generator seeded
-        with ``seed``, de-synchronizing fleets of breakers while
-        staying reproducible per seed.
-    seed : seed for the jitter stream.
-    time_source : zero-argument callable returning monotonic seconds;
-        defaults to :func:`repro.obs.perf_counter`.  Tests inject a
-        manual clock here.
+        probe.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        recovery_requests: int = 20,
-        recovery_time_s: Optional[float] = None,
-        backoff_factor: float = 2.0,
-        max_recovery_time_s: Optional[float] = None,
-        jitter: float = 0.0,
-        seed: int = 0,
-        time_source: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, failure_threshold: int = 5, recovery_requests: int = 20):
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
@@ -99,55 +53,15 @@ class CircuitBreaker:
             raise ValueError(
                 f"recovery_requests must be >= 1, got {recovery_requests}"
             )
-        if recovery_time_s is not None and recovery_time_s <= 0:
-            raise ValueError(
-                f"recovery_time_s must be > 0, got {recovery_time_s}"
-            )
-        if backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {backoff_factor}")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {jitter}")
         self.failure_threshold = failure_threshold
         self.recovery_requests = recovery_requests
-        self.recovery_time_s = recovery_time_s
-        self.backoff_factor = backoff_factor
-        self.max_recovery_time_s = (
-            max_recovery_time_s
-            if max_recovery_time_s is not None
-            else (32.0 * recovery_time_s if recovery_time_s is not None else None)
-        )
-        self.jitter = jitter
-        self._rng = np.random.default_rng(seed)
-        self._time_source = time_source if time_source is not None else _perf_counter
         self.state = CLOSED
         self.consecutive_failures = 0
         self._short_circuited = 0
-        #: Consecutive failed half-open probes (drives the backoff).
-        self._probe_failures = 0
-        #: Monotonic deadline at which an open breaker goes half-open
-        #: (time-based mode only).
-        self._reopen_at: Optional[float] = None
 
     # ------------------------------------------------------------------
-    @property
-    def time_based(self) -> bool:
-        """True when recovery is driven by the injected clock."""
-        return self.recovery_time_s is not None
-
-    def _current_window(self) -> float:
-        """The recovery window for the next open period, after backoff
-        and jitter (time-based mode only)."""
-        window = self.recovery_time_s * (self.backoff_factor ** self._probe_failures)
-        if self.max_recovery_time_s is not None:
-            window = min(window, self.max_recovery_time_s)
-        if self.jitter > 0.0:
-            window *= 1.0 + self.jitter * float(self._rng.random())
-        return window
-
     def _open(self) -> None:
         self._short_circuited = 0
-        if self.time_based:
-            self._reopen_at = self._time_source() + self._current_window()
         self._transition(OPEN)
 
     def _transition(self, new_state: str) -> None:
@@ -161,45 +75,17 @@ class CircuitBreaker:
             REGISTRY.gauge("repro_breaker_state").set(_STATE_GAUGE[new_state])
         self.state = new_state
 
-    def effective_state(self) -> str:
-        """The state an arriving request would observe — read-only.
-
-        In time-based mode an open breaker whose recovery window has
-        elapsed reports ``half_open`` here without mutating anything
-        (the actual transition still happens inside
-        :meth:`allow_request`, on the probe itself).  Pollers that
-        gate traffic on the breaker — e.g. a serving tier shedding on
-        ``open`` — must consult this instead of the raw ``state``
-        attribute: ``state`` only advances inside ``allow_request``,
-        which shed traffic never reaches, so gating on ``state`` would
-        wedge a quiet tier open forever.
-        """
-        if (
-            self.state == OPEN
-            and self.time_based
-            and self._reopen_at is not None
-            and self._time_source() >= self._reopen_at
-        ):
-            return HALF_OPEN
-        return self.state
-
     # ------------------------------------------------------------------
     def allow_request(self) -> bool:
         """Should this request reach the model?
 
         Must be called exactly once per request; in the open state it
-        also advances the recovery countdown (request-count mode) or
-        checks the recovery deadline (time-based mode), and in
-        half-open it admits the single probe.
+        also advances the recovery countdown, and in half-open it
+        admits the single probe.
         """
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if self.time_based:
-                if self._time_source() >= self._reopen_at:
-                    self._transition(HALF_OPEN)
-                    return True
-                return False
             self._short_circuited += 1
             if self._short_circuited >= self.recovery_requests:
                 self._transition(HALF_OPEN)
@@ -210,7 +96,6 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """The model call behind an allowed request produced clean scores."""
         self.consecutive_failures = 0
-        self._probe_failures = 0
         if self.state == HALF_OPEN:
             self._transition(CLOSED)
 
@@ -218,9 +103,7 @@ class CircuitBreaker:
         """The model call failed (exception or non-finite scores)."""
         self.consecutive_failures += 1
         if self.state == HALF_OPEN:
-            # Failed probe: back to open with a widened window (time
-            # mode) / a restarted countdown (count mode).
-            self._probe_failures += 1
+            # Failed probe: back to open with a restarted countdown.
             self._open()
         elif self.state == CLOSED and self.consecutive_failures >= self.failure_threshold:
             self._open()
@@ -229,6 +112,4 @@ class CircuitBreaker:
         """Force the breaker closed (administrative override)."""
         self.consecutive_failures = 0
         self._short_circuited = 0
-        self._probe_failures = 0
-        self._reopen_at = None
         self._transition(CLOSED)

@@ -224,11 +224,6 @@ class ServingCaches:
         finally:
             self.row_owners = prev
 
-    def owner_of_row(self, index: int) -> Optional[Hashable]:
-        if self.row_owners is None or index >= len(self.row_owners):
-            return None
-        return self.row_owners[index]
-
     # ------------------------------------------------------------------
     def invalidate_user(self, user: Hashable) -> int:
         """Drop every session-derived entry of ``user`` (slates and

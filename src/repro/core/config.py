@@ -21,7 +21,6 @@ class STiSANConfig:
     poi_dim: int = 128                 # POI embedding dimension
     geo_dim: int = 128                 # GPS encoding dimension
     num_blocks: int = 4                # N — stacked IAABs
-    num_heads: int = 1                 # paper: single-head; >1 = extension
     ffn_hidden: int = 512              # d_h > d
     dropout: float = 0.7
     relation: RelationConfig = field(default_factory=RelationConfig)
@@ -40,10 +39,6 @@ class STiSANConfig:
             raise ValueError("max_len must be >= 2")
         if self.num_blocks < 1:
             raise ValueError("need at least one IAAB")
-        if self.num_heads < 1 or self.dim % self.num_heads != 0:
-            raise ValueError(
-                f"dim {self.dim} must be divisible by num_heads {self.num_heads}"
-            )
         if not self.use_relation and not self.use_attention:
             raise ValueError("cannot remove both the relation matrix and self-attention")
 

@@ -31,12 +31,7 @@ from ..nn.tensor import Tensor
 
 
 class IntervalAwareAttentionLayer(Module):
-    """Attention with an additive relation bias.
-
-    The paper's layer is single-head (``num_heads=1``, the default);
-    ``num_heads > 1`` is an extension that splits Q/K/V into heads and
-    injects the same relation bias into every head's attention map.
-    """
+    """Single-head attention with an additive relation bias."""
 
     def __init__(
         self,
@@ -44,18 +39,13 @@ class IntervalAwareAttentionLayer(Module):
         dropout: float = 0.0,
         use_relation: bool = True,
         use_attention: bool = True,
-        num_heads: int = 1,
         *,
         rng: np.random.Generator,
     ):
         super().__init__()
         if not use_relation and not use_attention:
             raise ValueError("at least one of relation / attention must be active")
-        if num_heads < 1 or dim % num_heads != 0:
-            raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
         self.dim = dim
-        self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.use_relation = use_relation
         self.use_attention = use_attention
         self.w_q = Linear(dim, dim, bias=False, rng=rng)
@@ -83,8 +73,6 @@ class IntervalAwareAttentionLayer(Module):
         cut : ``x`` is columns ``cut:`` of a (b, cut + n, d) batch; dropout
             draws its mask at that full width and slices it.
         """
-        if self.num_heads > 1 and self.use_attention:
-            return self._forward_multihead(x, relation_bias, attend_mask, return_weights, cut)
         v = self.w_v(x)
         if self.use_attention:
             q, k = self.w_q(x), self.w_k(x)
@@ -108,47 +96,6 @@ class IntervalAwareAttentionLayer(Module):
             return out, weights.data.copy()
         return out
 
-    def _forward_multihead(
-        self,
-        x: Tensor,
-        relation_bias: Optional[np.ndarray],
-        attend_mask: np.ndarray,
-        return_weights: bool,
-        cut: int,
-    ):
-        """Multi-head extension: the relation bias is shared across heads."""
-        single = x.ndim == 2
-        if single:
-            x = x.reshape(1, *x.shape)
-        b, n, _ = x.shape
-        h, hd = self.num_heads, self.head_dim
-
-        def split(t: Tensor) -> Tensor:
-            return t.reshape(b, n, h, hd).transpose(0, 2, 1, 3)  # (b, h, n, hd)
-
-        q, k, v = split(self.w_q(x)), split(self.w_k(x)), split(self.w_v(x))
-        mask = np.broadcast_to(
-            np.asarray(attend_mask)[..., None, :, :], (b, h, n, n)
-        )
-        bias = None
-        if self.use_relation and relation_bias is not None:
-            bias = np.broadcast_to(relation_bias[..., None, :, :], (b, h, n, n))
-        result = fused.fused_causal_attention(
-            q, k, v, relation_bias=bias, mask=mask, return_weights=return_weights
-        )
-        head_mean = None
-        if return_weights:
-            result, weights_arr = result
-            head_mean = weights_arr.mean(axis=1)
-        out = self.drop(result.transpose(0, 2, 1, 3).reshape(b, n, self.dim), cut=cut)
-        if single:
-            out = out.reshape(n, self.dim)
-            if head_mean is not None:
-                head_mean = head_mean[0]
-        if return_weights:
-            return out, head_mean.copy()
-        return out
-
 
 class IntervalAwareAttentionBlock(Module):
     """IAAB: pre-norm residual attention + pre-norm residual FFN."""
@@ -160,7 +107,6 @@ class IntervalAwareAttentionBlock(Module):
         dropout: float = 0.0,
         use_relation: bool = True,
         use_attention: bool = True,
-        num_heads: int = 1,
         *,
         rng: np.random.Generator,
     ):
@@ -171,7 +117,6 @@ class IntervalAwareAttentionBlock(Module):
             dropout=dropout,
             use_relation=use_relation,
             use_attention=use_attention,
-            num_heads=num_heads,
             rng=rng,
         )
         self.ffn_norm = LayerNorm(dim)

@@ -147,18 +147,3 @@ def weighted_bce_loss_sharded(
             neg_scores._accumulate(grad * neg_grad.reshape(neg_shape))
 
     return Tensor._make(total, (pos_scores, neg_scores), backward)
-
-
-def bce_loss_single_negative(
-    pos_scores: Tensor, neg_scores: Tensor, target_mask: np.ndarray
-) -> Tensor:
-    """Classic SASRec objective: one uniform negative per step.
-
-    Used by the SASRec / TiSASRec / Bert4Rec-style baselines.
-    ``neg_scores`` has shape (b, n) (single negative).
-    """
-    mask = np.asarray(target_mask, dtype=np.float32)
-    count = max(float(mask.sum()), 1.0)
-    pos_term = F.log_sigmoid(pos_scores) * Tensor(mask)
-    neg_term = F.softplus(neg_scores) * Tensor(mask)
-    return (-(pos_term.sum() - neg_term.sum())) * (1.0 / count)

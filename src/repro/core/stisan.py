@@ -112,7 +112,6 @@ class STiSAN(Module):
                     dropout=cfg.dropout,
                     use_relation=cfg.use_relation,
                     use_attention=cfg.use_attention,
-                    num_heads=cfg.num_heads,
                     rng=rng,
                 )
                 for _ in range(cfg.num_blocks)

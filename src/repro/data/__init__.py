@@ -30,7 +30,6 @@ from .sequences import (
     SequenceExample,
     pad_head,
     partition,
-    stack_examples,
 )
 from .synthetic import World, WorldConfig, build_world, generate_dataset
 from .types import (
@@ -68,7 +67,6 @@ __all__ = [
     "EvalExample",
     "pad_head",
     "partition",
-    "stack_examples",
     "NearestNegativeSampler",
     "UniformNegativeSampler",
     "EvalCandidateRetriever",

@@ -23,7 +23,6 @@ from typing import Dict
 
 import numpy as np
 
-from ..geo.neighbors import pad_pool
 from .types import PAD_POI, CheckInDataset
 
 
@@ -33,18 +32,11 @@ class NearestNegativeSampler:
     Each target POI owns a pool of its ``pool_size`` nearest neighbours
     (canonical ``(distance, id)`` order); :meth:`sample` draws
     ``num_negatives`` uniform picks from the target's pool.
+    ``pool_size`` is clamped to ``num_pois - 1``, so on a small
+    catalogue every pool is exactly the whole rest of the catalogue.
 
-    When a catalogue cannot supply ``pool_size`` distinct neighbours
-    the pool is right-padded by repeating the farthest neighbour
-    (:func:`repro.geo.neighbors.pad_pool`) — duplicated probability
-    mass lands on the easiest negative, never on the target.  By
-    default ``pool_size`` is clamped to ``num_pois - 1`` so pools are
-    exactly full (the historical contract); ``pad_to_pool_size=True``
-    keeps the requested width and pads instead.
-
-    Pools live in the dataset's shared index, keyed by the clamped query
-    width, and each sampler pads to its own ``pool_size``.  That cache
-    takes no lock: samplers over one dataset must not run from
+    Pools live in the dataset's shared index, keyed by that width.  The
+    cache takes no lock: samplers over one dataset must not run from
     concurrent threads.  Forked data-parallel workers get copies.
     """
 
@@ -58,7 +50,6 @@ class NearestNegativeSampler:
         pool_size: int = 2000,
         *,
         rng: np.random.Generator,
-        pad_to_pool_size: bool = False,
     ):
         if num_negatives < 1:
             raise ValueError("need at least one negative sample")
@@ -70,20 +61,15 @@ class NearestNegativeSampler:
                 f"catalogue of {num_pois} POIs cannot supply {num_negatives} negatives"
             )
         self.index = dataset.spatial_index()
-        if pad_to_pool_size:
-            self.pool_size = pool_size
-        else:
-            self.pool_size = min(pool_size, num_pois - 1)
-        self._query_width = min(self.pool_size, len(self.index) - 1)
+        self.pool_size = min(pool_size, num_pois - 1)
 
     def pool_for(self, target: int) -> np.ndarray:
-        """The target's neighbour pool (canonical order, fixed width).
+        """The target's ``pool_size`` nearest neighbours (canonical order).
 
         Reads the index's shared pool LRU, which runs one k-NN query on
-        a miss, and pads to ``pool_size``.  Treat the returned array as
-        immutable.
+        a miss.  Treat the returned array as immutable.
         """
-        return pad_pool(self.index.pool(target, self._query_width), self.pool_size)
+        return self.index.pool(target, self.pool_size)
 
     def sample(self, targets: np.ndarray) -> np.ndarray:
         """Draw negatives for an array of target POI ids.
@@ -160,7 +146,7 @@ class EvalCandidateRetriever:
             u: set(map(int, s.pois)) for u, s in dataset.sequences.items()
         }
 
-    def candidates(self, user: int, target: int) -> np.ndarray:
+    def candidates(self, user, target) -> np.ndarray:
         """Return (1 + k,) ids: target first, then the k nearest
         previously-unvisited POIs (excluding the target).
 
@@ -169,13 +155,32 @@ class EvalCandidateRetriever:
         unvisited ones; the shortfall is topped up with the nearest
         *visited* POIs so every slate in a dataset has equal length
         (harder negatives, never easier).
+
+        Batched form: aligned sequences ``user`` and ``target`` return a
+        (B, 1 + k) array, each row equal to its scalar call, from one
+        k-NN search plus one backfill search over the short rows.
         """
-        visited = set(self._visited.get(user, set()))
-        visited.add(int(target))
+        single = np.ndim(target) == 0
+        users = [user] if single else list(user)
+        targets = [int(target)] if single else [int(t) for t in target]
+        if len(users) != len(targets):
+            raise ValueError(
+                f"users and targets must align: {len(users)} != {len(targets)}"
+            )
         k = min(self.num_candidates, self.dataset.num_pois - 1)
-        negatives = list(self.index.nearest_excluding(int(target), k, exclude=visited))
-        if len(negatives) < k:
-            chosen = set(negatives) | {int(target)}
-            backfill = self.index.nearest_excluding(int(target), k, exclude=chosen)
-            negatives.extend(int(p) for p in backfill[: k - len(negatives)])
-        return np.concatenate([[int(target)], negatives]).astype(np.int64)
+        slates = np.empty((len(targets), 1 + k), dtype=np.int64)
+        slates[:, 0] = targets
+        if not targets:
+            return slates
+        excludes = [self._visited.get(u, set()) | {t} for u, t in zip(users, targets)]
+        rows = self.index.nearest_excluding(targets, k, exclude=excludes)
+        short = [b for b, row in enumerate(rows) if len(row) < k]
+        if short:
+            backfill = self.index.nearest_excluding(
+                [targets[b] for b in short], k,
+                exclude=[set(rows[b].tolist()) | {targets[b]} for b in short],
+            )
+            for b, extra in zip(short, backfill):
+                rows[b] = np.concatenate([rows[b], extra[: k - len(rows[b])]])
+        slates[:, 1:] = rows
+        return slates[0] if single else slates

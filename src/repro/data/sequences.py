@@ -139,14 +139,3 @@ def partition(
         # Training windows over everything before the target.
         train.extend(_window_examples(user, hist_pois, hist_times, n))
     return train, evaluation
-
-
-def stack_examples(
-    examples: List[SequenceExample],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack examples into batched arrays (users, src, times, tgt)."""
-    users = np.array([e.user for e in examples], dtype=np.int64)
-    src = np.stack([e.src_pois for e in examples])
-    times = np.stack([e.src_times for e in examples])
-    tgt = np.stack([e.tgt_pois for e in examples])
-    return users, src, times, tgt

@@ -46,8 +46,8 @@ def evaluate(
             chunk = eval_examples[start:start + batch_size]
             src = np.stack([e.src_pois for e in chunk])
             times = np.stack([e.src_times for e in chunk])
-            slates = np.stack(
-                [retriever.candidates(e.user, e.target) for e in chunk]
+            slates = retriever.candidates(
+                [e.user for e in chunk], [e.target for e in chunk]
             )
             scores = model.score_candidates(src, times, slates)
             all_ranks.extend(target_ranks(scores, target_index=0))

@@ -7,7 +7,7 @@ Table IV / Fig. 8 benchmarks are thin loops over this function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..baselines.factory import make_recommender
@@ -74,22 +74,9 @@ def run_rounds(
     config = config or ExperimentConfig()
     reports: List[MetricReport] = []
     for r in range(rounds):
-        cfg = ExperimentConfig(
-            max_len=config.max_len,
-            dim=config.dim,
-            num_candidates=config.num_candidates,
-            train=TrainConfig(
-                epochs=config.train.epochs,
-                batch_size=config.train.batch_size,
-                learning_rate=config.train.learning_rate,
-                num_negatives=config.train.num_negatives,
-                negative_pool=config.train.negative_pool,
-                temperature=config.train.temperature,
-                grad_clip=config.train.grad_clip,
-                seed=config.train.seed + r,
-                verbose=config.train.verbose,
-            ),
-            stisan_config=config.stisan_config,
+        cfg = replace(
+            config,
+            train=replace(config.train, seed=config.train.seed + r),
             seed=config.seed + r,
         )
         reports.append(

@@ -9,7 +9,6 @@ from .neighbors import (
     canonical_topk,
     chord_to_km,
     latlon_to_unit_xyz,
-    pad_pool,
     xyz_distance_km,
 )
 from .quadkey import (
@@ -30,7 +29,6 @@ __all__ = [
     "chord_to_km",
     "xyz_distance_km",
     "canonical_topk",
-    "pad_pool",
     "latlon_to_quadkey",
     "latlon_to_tile_xy",
     "quadkey_ngram_ids",

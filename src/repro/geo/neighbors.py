@@ -73,27 +73,6 @@ def canonical_topk(ids: np.ndarray, dist_km: np.ndarray, k: int):
     return ids[order], dist_km[order]
 
 
-def pad_pool(ids: np.ndarray, width: int) -> np.ndarray:
-    """Right-pad a neighbour pool to ``width`` by repeating the last id.
-
-    Duplicate-fill semantics of the negative sampler's pools: when a
-    catalogue cannot supply ``width`` distinct neighbours, the farthest
-    one found is repeated so the pool keeps a fixed shape and uniform
-    column draws remain valid.  Repeating the *last* (farthest) id
-    biases the duplicated mass toward the easiest negative, never
-    toward the target itself.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("cannot pad an empty neighbour pool")
-    if ids.size >= width:
-        return ids[:width]
-    out = np.empty(width, dtype=np.int64)
-    out[: ids.size] = ids
-    out[ids.size:] = ids[-1]
-    return out
-
-
 class PoiIndex:
     """KD-tree spatial index over the POI catalogue.
 

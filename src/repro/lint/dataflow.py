@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Generic, List, Optional, TypeVar
+from typing import Dict, FrozenSet, Generic, List, TypeVar
 
 from .cfg import CFG, CFGNode, binding_occurrences
 
@@ -37,9 +37,6 @@ class FixpointResult(Generic[V]):
     cfg: CFG
     in_states: List[State]
     out_states: List[State]
-
-    def state_before(self, node: CFGNode) -> State:
-        return self.in_states[node.index]
 
     def state_after(self, node: CFGNode) -> State:
         return self.out_states[node.index]
@@ -158,10 +155,3 @@ class ReachingDefinitions(ForwardAnalysis[FrozenSet[Definition]]):
         from .cfg import build_cfg
 
         return self.run(build_cfg(fn))
-
-
-def definitions_reaching(
-    result: FixpointResult, node: CFGNode, name: str
-) -> Optional[FrozenSet[Definition]]:
-    """The definition sites of ``name`` live at ``node``'s input."""
-    return result.in_states[node.index].get(name)

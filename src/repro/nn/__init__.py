@@ -25,22 +25,13 @@ from .layers import (
     ReLU,
 )
 from .module import Module, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, AdamW, FlatAdam, Optimizer
+from .optim import SGD, Adam, FlatAdam, Optimizer
 from .rnn import GRU, GRUCell, LSTMCell, STGNCell
-from .schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    StepLR,
-    WarmupCosineLR,
-    lr_trace,
-)
 from .rowsparse import RowSparseGrad, dense_grad
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     GradArena,
     Tensor,
-    active_arena,
     concatenate,
     grad_arena,
     matmul,
@@ -70,7 +61,6 @@ __all__ = [
     "no_grad",
     "GradArena",
     "grad_arena",
-    "active_arena",
     "fused_causal_attention",
     "Module",
     "ModuleList",
@@ -96,14 +86,7 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "AdamW",
     "FlatAdam",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "WarmupCosineLR",
-    "lr_trace",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -157,52 +157,6 @@ def abs_tensor(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian Error Linear Unit (tanh approximation)."""
-    # Python-float constants keep the computation in float32 under both
-    # legacy value-based casting and NEP-50 promotion rules.
-    c0 = 0.7978845608028654  # sqrt(2 / pi)
-    c1 = 0.044715
-    data = x.data
-    inner = c0 * (data + c1 * data ** 3)
-    t = np.tanh(inner)
-    out_data = (0.5 * data * (1.0 + t)).astype(np.float32)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            d_inner = c0 * (1.0 + 3 * c1 * data ** 2)
-            d = 0.5 * (1.0 + t) + 0.5 * data * (1.0 - t ** 2) * d_inner
-            x._accumulate((grad * d).astype(np.float32, copy=False))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    out_data = np.where(x.data > 0, x.data, negative_slope * x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(
-                (grad * np.where(x.data > 0, 1.0, negative_slope)).astype(
-                    np.float32, copy=False
-                )
-            )
-
-    return Tensor._make(out_data.astype(np.float32), (x,), backward)
-
-
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    expm = np.exp(np.clip(x.data, None, 30.0)) - 1.0
-    out_data = np.where(x.data > 0, x.data, alpha * expm)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            d = np.where(x.data > 0, 1.0, alpha * (expm + 1.0))
-            x._accumulate((grad * d).astype(np.float32, copy=False))
-
-    return Tensor._make(out_data.astype(np.float32), (x,), backward)
-
-
 def row_sums(idx: np.ndarray, grad: np.ndarray, num_rows: int) -> RowSparseGrad:
     """Sum ``grad`` rows by index into a ``num_rows`` table, row-sparse:
     the embedding backward, bitwise equal to ``np.add.at`` on zeros.

@@ -16,19 +16,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """He uniform for ReLU networks."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def normal(shape: tuple, rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
     return (rng.standard_normal(shape) * std).astype(np.float32)
 

@@ -1,7 +1,6 @@
-"""First-order optimizers: SGD (with momentum), Adam, AdamW.
+"""First-order optimizers: SGD (with momentum) and Adam.
 
-The paper trains with Adam at learning rate 1e-3; the others exist for
-baselines (BPR/FPMC traditionally use SGD) and ablation studies.
+The paper trains with Adam at learning rate 1e-3.
 """
 
 from __future__ import annotations
@@ -503,8 +502,3 @@ class FlatAdam(Adam):
         new = param.data.copy()
         new[rows] = stepped
         param.assign_(new)
-
-
-def AdamW(params: Iterable[Parameter], lr: float = 1e-3, weight_decay: float = 0.01, **kw) -> Adam:
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-    return Adam(params, lr=lr, weight_decay=weight_decay, decoupled=True, **kw)

@@ -99,10 +99,6 @@ class GradArena:
             self._pool.setdefault(key, []).append(flat)
         self._issued.clear()
 
-    @property
-    def num_pooled(self) -> int:
-        return sum(len(stack) for stack in self._pool.values())
-
 
 class grad_arena:
     """Context manager installing a :class:`GradArena` for fused ops.
@@ -128,11 +124,6 @@ class grad_arena:
         global _arena  # repro-lint: disable=REPRO-STATE -- scrubbed after fork by repro.parallel.state.reset_inherited_state
         _arena = self._prev
         return False
-
-
-def active_arena() -> Optional[GradArena]:
-    """The currently installed arena, or None."""
-    return _arena
 
 
 def arena_empty(shape, dtype=np.float32) -> np.ndarray:

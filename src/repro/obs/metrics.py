@@ -304,14 +304,6 @@ class MetricsRegistry:
                 raise ValueError(f"unknown metric kind {kind!r}")
 
     @classmethod
-    def merge_payloads(cls, payloads) -> "MetricsRegistry":
-        """A fresh registry holding the fold of ``payloads`` in order."""
-        registry = cls()
-        for payload in payloads:
-            registry.merge_json(payload)
-        return registry
-
-    @classmethod
     def from_json(cls, payload: dict) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`to_json` output."""
         registry = cls()

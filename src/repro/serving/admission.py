@@ -3,8 +3,8 @@
 Overload is a first-class outcome, not an accident: every submit is
 either *admitted* into the bounded queue or *shed* with a
 machine-readable reason, decided here.  The policy is a pure function
-of observable state (queue depth, capacity, watermark, breaker state,
-shutdown flag) so virtual-clock unit tests enumerate it exhaustively.
+of observable state (queue depth, capacity, watermark, shutdown flag)
+so virtual-clock unit tests enumerate it exhaustively.
 
 Shed reasons, in evaluation order:
 
@@ -12,17 +12,10 @@ Shed reasons, in evaluation order:
 - ``queue_full``   — the bounded queue is at capacity (hard limit).
 - ``backpressure`` — depth crossed the soft watermark; shed *before*
   the hard limit so the queue keeps headroom for requeued work.
-- ``breaker_open`` — optional (``shed_on_breaker_open``): the circuit
-  breaker says the model is down, so don't even queue.  Off by
-  default: with a request-count breaker the queued traffic is what
-  advances the recovery countdown, so shedding everything here would
-  wedge the breaker open.  Enable it alongside a *time-based* breaker
-  (PR 9's recovery window), whose reopen needs no traffic — provided
-  the caller passes ``CircuitBreaker.effective_state()`` (as the tier
-  does), the read-only probe that reports ``half_open`` once the
-  window elapses.  The raw ``state`` attribute only advances inside
-  ``allow_request``, which shed traffic never reaches: gating on it
-  would shed 100% forever after one trip.
+
+The circuit breaker is not consulted here: its request-count recovery
+is advanced by the queued traffic itself, so shedding on an open
+breaker would wedge it open.
 
 What a shed request *receives* is the tier's choice (``shed_mode``):
 ``reject`` answers immediately with an empty payload; ``degrade``
@@ -34,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from ..core.breaker import OPEN
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
 
@@ -61,15 +52,9 @@ class AdmissionController:
     capacity : the queue's hard bound (mirrors the queue's maxsize —
         the queue itself is still the authority via ``offer``).
     shed_watermark : soft depth bound; None disables the soft check.
-    shed_on_breaker_open : refuse to queue while the breaker is open.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        shed_watermark: Optional[int] = None,
-        shed_on_breaker_open: bool = False,
-    ):
+    def __init__(self, capacity: int, shed_watermark: Optional[int] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if shed_watermark is not None and not 1 <= shed_watermark <= capacity:
@@ -78,14 +63,8 @@ class AdmissionController:
             )
         self.capacity = capacity
         self.shed_watermark = shed_watermark
-        self.shed_on_breaker_open = shed_on_breaker_open
 
-    def decide(
-        self,
-        depth: int,
-        closing: bool,
-        breaker_state: str,
-    ) -> AdmissionDecision:
+    def decide(self, depth: int, closing: bool) -> AdmissionDecision:
         """Admit or shed one request given the current tier state."""
         if closing:
             return AdmissionDecision(admit=False, reason="shutdown")
@@ -93,6 +72,4 @@ class AdmissionController:
             return AdmissionDecision(admit=False, reason="queue_full")
         if self.shed_watermark is not None and depth >= self.shed_watermark:
             return AdmissionDecision(admit=False, reason="backpressure")
-        if self.shed_on_breaker_open and breaker_state == OPEN:
-            return AdmissionDecision(admit=False, reason="breaker_open")
         return AdmissionDecision.ADMITTED

@@ -7,8 +7,8 @@ reads the sanctioned :func:`repro.obs.perf_counter` (a monotonic
 clock), so no raw wall-clock call ever appears in serving code and the
 ``REPRO-DET-CLOCK`` lint stays quiet by construction.  Tests use
 :class:`ManualClock` to drive the pure policy code (admission
-decisions, batch-formation deadlines, breaker recovery windows)
-through virtual time, deterministically.
+decisions, batch-formation deadlines) through virtual time,
+deterministically.
 
 ``sleep`` lives here too because injected fault *delays* and *hangs*
 (:mod:`repro.faults`) are scheduled by the plan but executed by the
@@ -51,8 +51,8 @@ class ManualClock(Clock):
     """A virtual clock advanced explicitly by the test driving it.
 
     ``sleep`` advances virtual time instead of blocking, so
-    single-threaded policy tests (batch-window math, breaker recovery,
-    backoff schedules) replay instantly and deterministically.  It is
+    single-threaded policy tests (batch-window math, backoff
+    schedules) replay instantly and deterministically.  It is
     *not* meant to coordinate real threads — the threaded integration
     tests use :class:`MonotonicClock` with short real windows.
     """

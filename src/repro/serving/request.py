@@ -17,7 +17,7 @@ degraded distance/popularity slate when the tier runs in
 - ``degraded`` — the service fell back (NaN/exception/breaker) or the
   tier exhausted its requeue budget; recommendations are tagged.
 - ``shed``     — admission control refused the request (queue full,
-  backpressure watermark, breaker open, shutdown).
+  backpressure watermark, shutdown).
 - ``timeout``  — the per-request deadline passed before a worker could
   score it.
 """
@@ -57,8 +57,8 @@ class TierResponse:
     status: str
     recommendations: List[Recommendation] = field(default_factory=list)
     #: Machine-readable detail for shed/timeout/degraded statuses
-    #: (``queue_full``, ``backpressure``, ``breaker_open``,
-    #: ``shutdown``, ``deadline``, ``requeue_limit``, ...).
+    #: (``queue_full``, ``backpressure``, ``shutdown``,
+    #: ``deadline``, ``requeue_limit``, ...).
     reason: str = ""
     #: Seconds from submit to resolution (the caller-visible latency).
     latency_s: float = 0.0

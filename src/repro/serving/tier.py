@@ -102,8 +102,6 @@ class TierConfig:
     #: ``reject`` answers sheds with an empty slate; ``degrade`` serves
     #: the distance/popularity fallback slate, tagged.
     shed_mode: str = "reject"
-    #: Shed while the breaker is open (pair with a time-based breaker).
-    shed_on_breaker_open: bool = False
     #: Seed for the retry-jitter stream.
     seed: int = 0
     #: Default drain budget for :meth:`ServingTier.close`.
@@ -182,7 +180,6 @@ class ServingTier:
         self.admission = AdmissionController(
             capacity=self.config.queue_depth,
             shed_watermark=self.config.shed_watermark,
-            shed_on_breaker_open=self.config.shed_on_breaker_open,
         )
         self.supervisor = WorkerSupervisor(self, self.config.num_workers)
         self.supervisor.start()
@@ -228,15 +225,7 @@ class ServingTier:
             self._outstanding[request.id] = request
             if _obs._enabled:
                 REGISTRY.counter("repro_tier_submitted_total").inc()
-        # effective_state (not raw .state): a time-based breaker only
-        # transitions inside allow_request, which shed traffic never
-        # reaches — gating on .state would wedge a quiet tier open
-        # forever after one trip.
-        decision = self.admission.decide(
-            depth=self.queue.depth(),
-            closing=self._closing,
-            breaker_state=self.service.breaker.effective_state(),
-        )
+        decision = self.admission.decide(depth=self.queue.depth(), closing=self._closing)
         if decision.admit and self.queue.offer(request):
             with self._lock:
                 self.stats.admitted += 1

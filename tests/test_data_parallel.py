@@ -544,12 +544,19 @@ class TestMetricsMerge:
             ))
             for i in range(3)
         ]
-        once = MetricsRegistry.merge_payloads(payloads).to_json()
-        again = MetricsRegistry.merge_payloads(payloads).to_json()
+
+        def merge(ordered):
+            registry = MetricsRegistry()
+            for payload in ordered:
+                registry.merge_json(payload)
+            return registry.to_json()
+
+        once = merge(payloads)
+        again = merge(payloads)
         assert once == again
         # The rank-order rule is what makes the merged gauge value
         # deterministic: reversing the payload order changes it.
-        reversed_merge = MetricsRegistry.merge_payloads(payloads[::-1]).to_json()
+        reversed_merge = merge(payloads[::-1])
         [gauge] = [m for m in once["metrics"] if m["name"] == "repro_rank_loss"]
         [rgauge] = [
             m for m in reversed_merge["metrics"] if m["name"] == "repro_rank_loss"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.loss import bce_loss_single_negative, weighted_bce_loss
+from repro.core.loss import weighted_bce_loss
 from repro.eval.metrics import (
     average_reports,
     hit_rate_at_k,
@@ -75,15 +75,6 @@ class TestWeightedBCE:
         with pytest.raises(ValueError):
             weighted_bce_loss(pos, neg, mask, temperature=0.0)
 
-    def test_single_negative_variant(self):
-        rng = np.random.default_rng(0)
-        pos = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
-        neg = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
-        loss = bce_loss_single_negative(pos, neg, np.ones((2, 3), dtype=bool))
-        x_pos = pos.data.astype(np.float64)
-        x_neg = neg.data.astype(np.float64)
-        ref = -(np.log(1 / (1 + np.exp(-x_pos))) + np.log(1 - 1 / (1 + np.exp(-x_neg)))).mean()
-        assert float(loss.data) == pytest.approx(ref, rel=1e-4)
 
 
 class TestMetrics:

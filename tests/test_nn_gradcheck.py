@@ -102,21 +102,6 @@ class TestElementwise:
     def test_log_sigmoid(self):
         check(lambda x: F.log_sigmoid(x).sum(), (5,))
 
-    def test_gelu(self):
-        check(lambda x: F.gelu(x).sum(), (5,))
-
-    def test_gelu_float32_only(self):
-        out = F.gelu(Tensor(RNG.normal(size=(4,)).astype(np.float32), requires_grad=True))
-        assert out.data.dtype == np.float32
-
-    def test_leaky_relu(self):
-        # Keep away from the kink at 0 on both sides.
-        check(lambda x: F.leaky_relu(x, 0.1).sum(), (6,), low=0.1, high=2.0)
-        check(lambda x: F.leaky_relu(x, 0.1).sum(), (6,), low=-2.0, high=-0.1)
-
-    def test_elu(self):
-        check(lambda x: F.elu(x, alpha=1.3).sum(), (6,), low=0.1, high=2.0)
-        check(lambda x: F.elu(x, alpha=1.3).sum(), (6,), low=-2.0, high=-0.1)
 
 
 class TestBroadcasting:

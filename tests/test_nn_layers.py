@@ -191,9 +191,6 @@ class TestOptimizers:
     def test_adam_converges(self):
         self._quadratic_min(lambda ps: nn.Adam(ps, lr=0.1))
 
-    def test_adamw_converges(self):
-        self._quadratic_min(lambda ps: nn.AdamW(ps, lr=0.1, weight_decay=1e-4), tol=5e-2)
-
     def test_grad_clipping(self):
         p = nn.Parameter(np.zeros(4, dtype=np.float32))
         opt = nn.SGD([p], lr=1.0)

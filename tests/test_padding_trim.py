@@ -46,7 +46,6 @@ ABLATIONS = {
     "no_attention": {"use_attention": False},
     "no_taad": {"use_taad": False},
     "no_geo": {"use_geo": False},
-    "two_heads": {"num_heads": 2},
 }
 
 

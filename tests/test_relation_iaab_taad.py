@@ -123,6 +123,18 @@ class TestIAAB:
         out = block(x, bias, mask)
         assert out.shape == (2, 5, 8)
 
+    def test_single_sequence_input(self):
+        """A 2-D (n, d) sequence runs without a batch axis and matches
+        its row of the batched call."""
+        block = IntervalAwareAttentionBlock(8, 16, rng=np.random.default_rng(0))
+        block.eval()
+        x, bias, mask, _ = self._inputs()
+        out = block(Tensor(x.data[1]), bias[1], mask[1])
+        assert out.shape == (5, 8)
+        np.testing.assert_allclose(out.data, block(x, bias, mask).data[1], atol=1e-6)
+        _, w = block.attn(Tensor(x.data[1]), bias[1], mask[1], return_weights=True)
+        assert w.shape == (5, 5)
+
     def test_causality_no_leakage(self):
         """Changing a future input must not change past outputs."""
         rng = np.random.default_rng(0)
@@ -204,6 +216,7 @@ class TestIAAB:
         layer.eval()
         x, bias, mask, _ = self._inputs(b=1)
         _, w = layer(x, bias, mask, return_weights=True)
+        assert w.shape == (1, 5, 5)
         np.testing.assert_allclose(w.sum(axis=-1), np.ones((1, 5)), atol=1e-5)
 
     def test_gradients_reach_all_parameters(self):

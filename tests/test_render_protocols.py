@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import render_heatmap, render_histogram, render_series
+from repro.analysis import render_heatmap, render_histogram
 from repro.data import partition
 from repro.eval import evaluate, evaluate_full_catalogue
 
@@ -50,28 +50,6 @@ class TestRenderHistogram:
 
     def test_empty_safe(self):
         assert render_histogram([]) == ""
-
-
-class TestRenderSeries:
-    def test_grid_dimensions(self):
-        out = render_series([1, 2, 3], [1, 4, 9], height=5, width=20)
-        lines = out.splitlines()
-        assert len(lines) == 7  # y-range + 5 rows + x-range
-        assert "o" in out
-
-    def test_extremes_plotted(self):
-        out = render_series([0, 10], [0, 1], height=4, width=10)
-        rows = out.splitlines()[1:-1]
-        assert rows[0][-1] == "o"   # max y at right
-        assert rows[-1][0] == "o"   # min y at left
-
-    def test_constant_series_safe(self):
-        out = render_series([1, 2], [5, 5], height=3, width=6)
-        assert "o" in out
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            render_series([1, 2], [1])
 
 
 class _TargetOracle:

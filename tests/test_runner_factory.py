@@ -78,3 +78,25 @@ class TestRunRounds:
         r1 = run_rounds("POP", micro_dataset, cfg, rounds=1)
         r2 = run_rounds("POP", micro_dataset, cfg, rounds=2)
         assert r1.ndcg10 == pytest.approx(r2.ndcg10, abs=1e-9)
+
+    def test_rounds_keep_every_config_field(self, micro_dataset, monkeypatch):
+        """Each round changes only the seeds; every other field,
+        ``loss_shard_size`` included, reaches run_experiment as given."""
+        from repro.eval import runner
+
+        seen = []
+
+        def spy(name, dataset, config, **kwargs):
+            seen.append(config)
+            return report_from_ranks([1])
+
+        monkeypatch.setattr(runner, "run_experiment", spy)
+        cfg = ExperimentConfig(
+            max_len=8, num_candidates=15, seed=4,
+            train=TrainConfig(epochs=1, seed=2, loss_shard_size=64, grad_clip=1.5),
+        )
+        run_rounds("STiSAN", micro_dataset, cfg, rounds=3)
+        assert [c.seed for c in seen] == [4, 5, 6]
+        assert [c.train.seed for c in seen] == [2, 3, 4]
+        assert [c.train.loss_shard_size for c in seen] == [64, 64, 64]
+        assert all(c.train.grad_clip == 1.5 and c.max_len == 8 for c in seen)

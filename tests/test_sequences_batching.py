@@ -236,3 +236,33 @@ class TestEvalCandidateRetriever:
             for u in tiny_dataset.users()
         }
         assert len(lengths) == 1
+
+    @pytest.mark.parametrize("num_candidates", [10, 20, 10**6])
+    def test_batched_slates_equal_per_row_calls(self, micro_dataset, num_candidates):
+        """One batched call returns, row for row, the slate the per-row
+        algorithm builds, backfill included: at these widths most users
+        have visited too many POIs to fill the slate unvisited (none at
+        10, some at 20, all at the whole catalogue)."""
+        retriever = EvalCandidateRetriever(micro_dataset, num_candidates=num_candidates)
+        index = micro_dataset.spatial_index()
+        k = min(num_candidates, micro_dataset.num_pois - 1)
+        users = micro_dataset.users()
+        users = users + users[:3]
+        targets = [int(micro_dataset.sequences[u].pois[-1 - i % 4]) for i, u in enumerate(users)]
+        expected, backfilled = [], 0
+        for user, target in zip(users, targets):
+            visited = set(map(int, micro_dataset.sequences[user].pois)) | {target}
+            negatives = list(index.nearest_excluding(target, k, exclude=visited))
+            if len(negatives) < k:
+                backfilled += 1
+                chosen = set(negatives) | {target}
+                negatives += list(index.nearest_excluding(target, k, exclude=chosen))
+            expected.append([target] + negatives[:k])
+        batched = retriever.candidates(users, targets)
+        assert batched.shape == (len(users), 1 + k) and batched.dtype == np.int64
+        np.testing.assert_array_equal(batched, np.array(expected))
+        for row, user, target in zip(batched, users, targets):
+            np.testing.assert_array_equal(retriever.candidates(user, target), row)
+        assert (backfilled > 0) == (num_candidates > 10)
+        with pytest.raises(ValueError, match="align"):
+            retriever.candidates(users, targets[:-1])

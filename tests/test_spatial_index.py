@@ -27,7 +27,6 @@ from repro.geo import (
     build_spatial_index,
     canonical_topk,
     latlon_to_unit_xyz,
-    pad_pool,
     xyz_distance_km,
 )
 from repro.nn.tensor import Tensor, no_grad
@@ -91,7 +90,7 @@ def brute_pools(coords, width):
     n = len(coords)
     pools = np.zeros((n + 1, width), dtype=np.int64)
     for poi in range(1, n + 1):
-        pools[poi] = pad_pool(brute_knn(coords, poi, min(width, n - 1))[0], width)
+        pools[poi] = brute_knn(coords, poi, width)[0]
     return pools
 
 
@@ -429,8 +428,6 @@ class TestSharedPools:
         ] + [
             (NearestNegativeSampler(ds, num_negatives=2, pool_size=10,
                                     rng=np.random.default_rng(3)), 5, 3),
-            (NearestNegativeSampler(ds, num_negatives=2, pool_size=10, pad_to_pool_size=True,
-                                    rng=np.random.default_rng(4)), 10, 4),
         ]
         targets = np.array([1, 4, 6, 4])
         for sampler, width, seed in samplers * 2:
@@ -444,8 +441,7 @@ class TestSharedPools:
                 sampler.sample(targets),
                 expected_draw(brute_pools(coords, width), targets, 2, width, seed),
             )
-        # One entry per (target, query width): 3 and the clamped 5; the
-        # padded sampler queries width 5 too and pads its own copy.
+        # One entry per (target, query width): 3 and the clamped 5.
         cached = ds.spatial_index().pools
         assert len(cached) == 6
         assert all((t, k) in cached for t in (1, 4, 6) for k in (3, 5))
@@ -475,7 +471,7 @@ class TestSharedPools:
 
 
 class TestTinyCataloguePadding:
-    """The repeat-last pool padding, reachable and pinned."""
+    """A catalogue smaller than the requested pool: pools clamp."""
 
     def make_tiny(self):
         from repro.data.types import CheckInDataset, UserSequence
@@ -492,31 +488,6 @@ class TestTinyCataloguePadding:
             )
         }
         return CheckInDataset(name="tiny6", poi_coords=coords, sequences=seqs)
-
-    def test_pad_pool_repeat_last(self):
-        ids = np.array([4, 9, 2])
-        padded = pad_pool(ids, 6)
-        np.testing.assert_array_equal(padded, [4, 9, 2, 2, 2, 2])
-        np.testing.assert_array_equal(pad_pool(ids, 2), [4, 9])
-        with pytest.raises(ValueError):
-            pad_pool(np.array([], dtype=np.int64), 3)
-
-    def test_sampler_padding_reachable(self):
-        ds = self.make_tiny()
-        sampler = NearestNegativeSampler(
-            ds, num_negatives=4, pool_size=10,
-            rng=np.random.default_rng(8), pad_to_pool_size=True,
-        )
-        pool = sampler.pool_for(1)
-        assert pool.shape == (10,)
-        # 5 real neighbours, then the farthest repeated to width 10.
-        assert len(set(pool[:5])) == 5
-        assert (pool[5:] == pool[4]).all()
-        targets = np.array([1, 3, 6])
-        pools = brute_pools(ds.poi_coords[1:], 10)
-        np.testing.assert_array_equal(
-            sampler.sample(targets), expected_draw(pools, targets, 4, 10, 8)
-        )
 
     def test_clamped_default_stays_exactly_full(self):
         ds = self.make_tiny()

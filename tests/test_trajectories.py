@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     dataset_mobility_summary,
-    interval_histogram,
     radius_of_gyration,
     session_count,
     user_stats,
@@ -80,21 +79,3 @@ class TestDatasetSummary:
         summary = dataset_mobility_summary(tiny_dataset)
         extent_km = radius_of_gyration(tiny_dataset.poi_coords[1:])
         assert summary["mean_hop_km"] < extent_km
-
-
-class TestIntervalHistogram:
-    def test_counts_cover_all_gaps(self, micro_dataset):
-        hist = interval_histogram(micro_dataset, bins_hours=[0, 1e9])
-        expected = sum(len(s) - 1 for s in micro_dataset.sequences.values())
-        assert hist["counts"].sum() == expected
-
-    def test_bimodal_signature(self, tiny_dataset):
-        """The generator's gap mixture: both intra-day and multi-day
-        gaps must be present in meaningful numbers."""
-        hist = interval_histogram(tiny_dataset, bins_hours=[0, 12, 1e6])
-        short, long = hist["counts"]
-        assert short > 0 and long > 0
-
-    def test_monotone_edges_required(self, micro_dataset):
-        with pytest.raises(ValueError):
-            interval_histogram(micro_dataset, bins_hours=[0, 5, 5])

@@ -53,7 +53,7 @@ from repro.nn import fused
 from repro.nn.functional import row_sums
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.tensor import grad_arena
-from repro.parallel import train_data_parallel
+from repro.parallel import DataParallelTrainer
 
 # Paper sequence shape (Section IV-D), at reproduction-scale width:
 # n = 100 check-ins per window, d = 64 = 32 POI (+) 32 GPS, N = 4 IAABs.
@@ -268,7 +268,7 @@ def run_worker_leg(workers: int) -> dict:
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
     steps = math.ceil(len(subset) / tc.batch_size)
     t0 = time.perf_counter()
-    result = train_data_parallel(model, ds, subset, tc, workers=workers)
+    result = DataParallelTrainer(model, ds, subset, tc, workers=workers).train()
     wall = time.perf_counter() - t0
     return {
         "workers": workers,

@@ -13,7 +13,7 @@ from ..core.stisan import STiSAN
 from ..core.trainer import train_stisan
 from ..data.sequences import SequenceExample
 from ..data.types import CheckInDataset
-from ..parallel import DEFAULT_GRAD_SHARDS, train_data_parallel
+from ..parallel import DEFAULT_GRAD_SHARDS, DataParallelTrainer
 from .base import SequentialRecommender, register
 
 
@@ -46,7 +46,7 @@ class STiSANRecommender(SequentialRecommender):
             # The data-parallel trainer's sharded-loss arithmetic (and
             # its checkpoints) form their own bitwise family, so it is
             # only selected when explicitly requested.
-            train_data_parallel(
+            DataParallelTrainer(
                 self.model,
                 dataset,
                 examples,
@@ -58,7 +58,7 @@ class STiSANRecommender(SequentialRecommender):
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 resume=resume,
-            )
+            ).train()
             return
         train_stisan(
             self.model,

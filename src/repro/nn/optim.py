@@ -56,11 +56,9 @@ class SGD(Optimizer):
         params: Iterable[Parameter],
         lr: float = 0.01,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ):
         super().__init__(params, lr)
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: Optional[List[np.ndarray]] = None
 
     def state_dict(self) -> dict:
@@ -88,8 +86,6 @@ class SGD(Optimizer):
             if p.grad is None:
                 continue
             grad = dense_grad(p.grad)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             if self.momentum:
                 v *= self.momentum
                 v += grad
@@ -98,7 +94,7 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with optional decoupled weight decay."""
+    """Adam (Kingma & Ba, 2015)."""
 
     def __init__(
         self,
@@ -106,14 +102,10 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decoupled: bool = False,
     ):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.t = 0
         self._init_moments()
 
@@ -156,8 +148,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = dense_grad(p.grad)
-            if self.weight_decay and not self.decoupled:
-                grad = grad + self.weight_decay * p.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
@@ -165,8 +155,6 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * p.data
             p.assign_(p.data - self.lr * update)
 
 
@@ -254,8 +242,7 @@ class FlatAdam(Adam):
     fixed point above.  A table's gradient may be row-sparse (from an
     embedding lookup) or dense; either way its live rows are found from
     the rows it lists, the moments are gathered for those rows only,
-    and nothing is allocated for the table at construction.  A nonzero
-    ``weight_decay`` moves every entry, so it makes every row live.
+    and nothing is allocated for the table at construction.
 
     Semantics preserved:
 
@@ -436,15 +423,11 @@ class FlatAdam(Adam):
     def _update(self, p, g, m, v, bias1: float, bias2: float) -> np.ndarray:
         """Adam on matching arrays: ``m`` and ``v`` in place, returns the
         new parameter values."""
-        if self.weight_decay and not self.decoupled:
-            g = g + self.weight_decay * p
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        if self.weight_decay and self.decoupled:
-            update = update + self.weight_decay * p
         return p - self.lr * update
 
     def _step_flat_buffer(self, grads, bias1: float, bias2: float) -> None:
@@ -483,9 +466,7 @@ class FlatAdam(Adam):
 
     def _step_table(self, param, table: _RowTable, grad, bias1: float, bias2: float) -> None:
         sparse = isinstance(grad, RowSparseGrad)
-        if self.weight_decay:
-            table.grow(np.arange(table.shape[0], dtype=np.int64))
-        elif sparse:
+        if sparse:
             values = grad.values.reshape(grad.rows.size, -1)
             table.grow(grad.rows[(values != 0).any(axis=1)])
         else:

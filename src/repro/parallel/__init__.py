@@ -21,7 +21,6 @@ from .trainer import (
     DEFAULT_GRAD_SHARDS,
     DataParallelTrainer,
     WorkerCrashError,
-    train_data_parallel,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "reduce_shard_losses",
     "reset_inherited_state",
     "shard_bounds",
-    "train_data_parallel",
     "validate_world",
     "world_size",
 ]

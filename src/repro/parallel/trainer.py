@@ -1,14 +1,17 @@
 """Multi-process data-parallel training with bitwise determinism.
 
-:class:`DataParallelTrainer` runs the STiSAN training loop across N
-worker processes, modeled on the classic multi-replica loop (shard the
-batch, per-replica backward, ``all_reduce_and_rescale``, identical
-step) with ``multiprocessing`` + shared memory standing in for CUDA
-replicas:
+:class:`DataParallelTrainer` runs :func:`repro.core.trainer.train_stisan`'s
+epoch loop (``repro.core.trainer._EpochLoop``: resume, telemetry,
+checkpoints, validation, early stopping) on N worker processes; what
+this module adds is only the per-batch step, modeled on the classic
+multi-replica loop (shard the batch, per-replica backward,
+``all_reduce_and_rescale``, identical step) with ``multiprocessing`` +
+shared memory standing in for CUDA replicas:
 
-1. the parent prepares (and, on resume, restores) the canonical model,
-   ``FlatAdam`` optimizer, trainer RNG and early-stopping state, then
-   **forks** N−1 children — every replica starts bitwise identical;
+1. the parent runs the loop's prologue, which prepares (and, on
+   resume, restores) the canonical model, ``FlatAdam`` optimizer,
+   trainer RNG and early-stopping state, then **forks** N−1 children —
+   every replica starts bitwise identical;
 2. every rank runs the *same* data pipeline (one canonical RNG drives
    the epoch shuffle and the negative draws for the **full** batch, so
    all RNG streams stay in lockstep and are worker-count independent);
@@ -23,6 +26,10 @@ replicas:
    its own ``FlatAdam`` replica with :meth:`FlatAdam.step_flat` — the
    replicas stay bitwise identical without ever broadcasting
    parameters.
+
+Only rank 0 writes checkpoints and telemetry, opens spans and bumps the
+``repro_train_*`` metrics; every rank validates and early-stops, so
+control flow stays in lockstep.
 
 Because the shard decomposition, the reduction order, the loss
 normalizer (the *global* batch's target count) and the per-``(step,
@@ -43,35 +50,32 @@ multi-worker legs are tested against.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 import traceback
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..core.checkpoint import TrainerCheckpoint, TrainProgress, collect_module_rngs
+from ..core.checkpoint import collect_module_rngs
 from ..core.config import TrainConfig
-from ..core.early_stopping import EarlyStopping
 from ..core.loss import weighted_bce_loss
 from ..core.stisan import STiSAN
-from ..core.trainer import TrainResult, _fingerprint
-from ..data.batching import Batch, BatchIterator
-from ..data.negatives import NearestNegativeSampler
+from ..core.trainer import TrainResult, _EpochLoop
+from ..data.batching import Batch
 from ..data.sequences import EvalExample, SequenceExample
 from ..data.types import CheckInDataset
 from ..faults import fault_injection
 from ..faults import state as _faults
-from ..nn.optim import FlatAdam
-from ..nn.tensor import grad_arena
-from ..obs import REGISTRY, TelemetrySink, span
+from ..nn.tensor import GradArena
+from ..obs import REGISTRY, TelemetrySink
 from ..obs import state as _obs
 from . import state as _pstate
 from .reduce import clip_flat_grad_norm, reduce_shard_grads, reduce_shard_losses
 from .sharding import rank_shard_range, shard_bounds, validate_world
 from .shm import LocalReduceBuffer, SharedReduceBuffer
 
-__all__ = ["DataParallelTrainer", "WorkerCrashError", "train_data_parallel"]
+__all__ = ["DataParallelTrainer", "WorkerCrashError"]
 
 #: Default logical shard count — fixed independently of the worker
 #: count (it bounds usable workers and is part of the checkpoint
@@ -81,6 +85,9 @@ DEFAULT_GRAD_SHARDS = 4
 #: Stream id mixed into every derived per-(step, shard) dropout seed so
 #: the streams never collide with other seeded generators in the repo.
 _DROPOUT_STREAM = 0x5D
+
+#: Seconds a rank waits at a barrier before the run is declared broken.
+_BARRIER_TIMEOUT_S = 300.0
 
 
 class WorkerCrashError(RuntimeError):
@@ -105,24 +112,15 @@ def _seed_shard_rngs(
         generator.bit_generator.state = fresh.bit_generator.state
 
 
-@dataclass
-class _EpochState:
-    """Mutable per-run loop bookkeeping, identical on every rank."""
-
-    global_step: int = 0
-    epoch_losses: List[float] = field(default_factory=list)
-    validation_metrics: List[float] = field(default_factory=list)
-    stopped_early: bool = False
-
-
 class DataParallelTrainer:
     """Shard-batch / all-reduce / identical-step training over N processes.
 
-    Mirrors :func:`repro.core.trainer.train_stisan`'s surface (loss
-    curve, early stopping, telemetry, crash-safe checkpoints) with two
-    extra knobs: ``workers`` (process count) and ``grad_shards`` (the
-    fixed logical shard count; must be a multiple of every worker count
-    the run will ever use — it is fingerprinted into checkpoints).
+    Takes :func:`repro.core.trainer.train_stisan`'s arguments and runs
+    its epoch loop (loss curve, early stopping, telemetry, crash-safe
+    checkpoints) with two extra knobs: ``workers`` (process count) and
+    ``grad_shards`` (the fixed logical shard count; must be a multiple
+    of every worker count the run will ever use — it is fingerprinted
+    into checkpoints).
     """
 
     def __init__(
@@ -142,7 +140,6 @@ class DataParallelTrainer:
         checkpoint_every: int = 0,
         resume: bool = False,
         on_epoch_end: Optional[Callable[[int, float], None]] = None,
-        barrier_timeout: float = 300.0,
     ):
         validate_world(workers, grad_shards)
         if config is not None and config.loss_shard_size:
@@ -153,113 +150,58 @@ class DataParallelTrainer:
                 "loss_shard_size is not supported with data-parallel "
                 "training; grad_shards already bounds per-shard loss memory"
             )
-        if checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if checkpoint_every and checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-        if resume and checkpoint_dir is None:
-            raise ValueError("resume=True requires checkpoint_dir")
-        if barrier_timeout <= 0:
-            raise ValueError("barrier_timeout must be positive")
         self.model = model
-        self.dataset = dataset
-        self.examples = examples
-        self.config = config or TrainConfig()
         self.workers = workers
         self.grad_shards = grad_shards
-        self.validation = validation
-        self.patience = patience
-        self.num_candidates = num_candidates
-        self.telemetry = telemetry
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
-        self.on_epoch_end = on_epoch_end
-        self.barrier_timeout = barrier_timeout
+        # The worker count is deliberately NOT part of the fingerprint or
+        # the checkpoint info: checkpoint BYTES are part of the
+        # workers=N ≡ workers=1 contract, so nothing N-dependent may be
+        # written.  grad_shards IS, because it shapes the arithmetic.
+        self._loop = _EpochLoop(
+            model, dataset, examples, config,
+            on_epoch_end=on_epoch_end,
+            validation=validation,
+            patience=patience,
+            num_candidates=num_candidates,
+            telemetry=telemetry,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            resume=resume,
+            fingerprint_extra={"grad_shards": grad_shards},
+            checkpoint_info={"trainer": "data_parallel", "grad_shards": grad_shards},
+            before_checkpoint=self._canonicalize_rngs,
+        )
+        self.config = self._loop.config
+
+    def _canonicalize_rngs(self, global_step: int) -> None:
+        # Rank 0's in-memory dropout generator states reflect whichever
+        # shard it computed last — an N-dependent quantity — while every
+        # consumer re-keys per (step, shard) before drawing, so the
+        # stored state only has to be deterministic.
+        _seed_shard_rngs(collect_module_rngs(self.model), self.config.seed, global_step, 0)
 
     # ------------------------------------------------------------------
     # Entry point (parent process = rank 0)
     # ------------------------------------------------------------------
     def train(self) -> TrainResult:
-        config = self.config
-        self._rng = np.random.default_rng(config.seed)
-        self._sampler = NearestNegativeSampler(
-            self.dataset,
-            num_negatives=config.num_negatives,
-            pool_size=config.negative_pool,
-            rng=self._rng,
-        )
-        self._optimizer = FlatAdam(self.model.parameters(), lr=config.learning_rate)
-        self._stopper = (
-            EarlyStopping(patience=self.patience) if self.validation else None
-        )
-        # The worker count is deliberately NOT part of the fingerprint —
-        # the captured state is worker-count independent; grad_shards IS,
-        # because it shapes the gradient arithmetic.
-        self._fingerprint = {
-            **_fingerprint(
-                config, len(self.examples), self.model, self.validation is not None
-            ),
-            "grad_shards": self.grad_shards,
-        }
-
-        result = TrainResult()
-        progress = TrainProgress()
-        self._resumed_order: Optional[np.ndarray] = None
-        resumed = False
-        if self.resume:
-            loaded = TrainerCheckpoint.load_latest(self.checkpoint_dir)
-            if loaded is not None:
-                ckpt, ckpt_path = loaded
-                ckpt.check_fingerprint(self._fingerprint)
-                progress = ckpt.restore(
-                    self.model, self._optimizer, self._rng, self._stopper
-                )
-                self._resumed_order = ckpt.order
-                result.epoch_losses = list(progress.epoch_losses)
-                result.validation_metrics = list(progress.validation_metrics)
-                result.stopped_early = progress.stopped_early
-                result.resumed_from_step = progress.global_step
-                resumed = True
-                if _obs._enabled:
-                    REGISTRY.counter("repro_train_resumes_total").inc()
-                if self.telemetry is not None:
-                    self.telemetry.emit(
-                        "resume",
-                        checkpoint=ckpt_path.name,
-                        epoch=progress.epoch,
-                        batches_done=progress.batches_done,
-                        step=progress.global_step,
-                    )
-        if self.telemetry is not None and not resumed:
-            self.telemetry.emit(
-                "train_start",
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                learning_rate=config.learning_rate,
-                num_negatives=config.num_negatives,
-                temperature=config.temperature,
-                seed=config.seed,
-                num_examples=len(self.examples),
-            )
-        self._progress = progress
-        self._result = result
-
+        loop = self._loop
+        loop.start()
+        self._optimizer = loop.optimizer
         if self.workers == 1:
-            buf = LocalReduceBuffer(
+            self._buffer = LocalReduceBuffer(
                 self.grad_shards, self._optimizer.flat_size, len(self._optimizer.params)
             )
-            self._buffer = buf
             self._barrier_a = self._barrier_b = None
             _pstate.install_rank(0, 1)
             try:
                 self._run_rank(0)
             finally:
                 _pstate.install_rank(0, 1)
-            return result
-        return self._train_multiprocess(result)
+        else:
+            self._train_multiprocess()
+        return loop.result
 
-    def _train_multiprocess(self, result: TrainResult) -> TrainResult:
+    def _train_multiprocess(self) -> None:
         import multiprocessing as mp
 
         if "fork" not in mp.get_all_start_methods():
@@ -313,7 +255,6 @@ class DataParallelTrainer:
             buf.close()
             buf.unlink()
             _pstate.install_rank(0, 1)
-        return result
 
     def _merge_worker_metrics(self) -> None:
         """Fold child metric snapshots into the root registry, rank order."""
@@ -365,7 +306,7 @@ class DataParallelTrainer:
         if barrier is None:
             return
         try:
-            barrier.wait(self.barrier_timeout)
+            barrier.wait(_BARRIER_TIMEOUT_S)
         except threading.BrokenBarrierError:
             if rank != 0:
                 raise
@@ -380,172 +321,16 @@ class DataParallelTrainer:
                 + " — see worker stderr for the originating traceback"
             ) from None
 
-    # ------------------------------------------------------------------
-    # The per-rank training loop (identical control flow on every rank)
-    # ------------------------------------------------------------------
     def _run_rank(self, rank: int) -> None:
-        is_root = rank == 0
-        config = self.config
-        model = self.model
-        optimizer = self._optimizer
-        stopper = self._stopper
-        progress = self._progress
-        result = self._result
-        telemetry = self.telemetry if is_root else None
-        buf = self._buffer
-        offsets = optimizer.grad_offsets
-        num_params = len(optimizer.params)
-        shard_lo, shard_hi = rank_shard_range(rank, self.workers, self.grad_shards)
-        generators = collect_module_rngs(model)
-
-        def _span(name: str):
-            # Only the root contributes to the (merged) span metrics;
-            # worker replicas would otherwise multiply every duration.
-            return span(name) if is_root else contextlib.nullcontext()
-
-        def save_ckpt(epoch: int, batches_done: int, epoch_loss: float, order) -> None:
-            snapshot = TrainProgress(
-                epoch=epoch,
-                batches_done=batches_done,
-                global_step=state.global_step,
-                epoch_loss=epoch_loss,
-                epoch_losses=list(state.epoch_losses),
-                validation_metrics=list(state.validation_metrics),
-                stopped_early=state.stopped_early,
-            )
-            # Canonicalize the dropout generator states before capture:
-            # rank 0's in-memory states reflect whichever shard it
-            # computed last — an N-dependent quantity — while every
-            # consumer re-keys per (step, shard) before drawing, so the
-            # stored state only has to be deterministic.
-            _seed_shard_rngs(generators, config.seed, state.global_step, 0)
-            # info deliberately omits the worker count: checkpoint BYTES
-            # are part of the workers=N ≡ workers=1 contract, so nothing
-            # N-dependent may be written.
-            TrainerCheckpoint.capture(
-                model, optimizer, self._rng, snapshot, self._fingerprint,
-                stopper=stopper, order=order,
-                info={"trainer": "data_parallel", "grad_shards": self.grad_shards},
-            ).save(self.checkpoint_dir)
-            plan = _faults.active_plan()
-            if plan is not None:
-                plan.on_train_checkpoint(state.global_step)
-
-        state = _EpochState(
-            global_step=progress.global_step,
-            epoch_losses=list(result.epoch_losses),
-            validation_metrics=list(result.validation_metrics),
-            stopped_early=result.stopped_early,
+        """Run the shared epoch loop as ``rank`` with the data-parallel step."""
+        step = functools.partial(
+            self._parallel_step,
+            rank,
+            *rank_shard_range(rank, self.workers, self.grad_shards),
+            collect_module_rngs(self.model),
+            self._optimizer.grad_offsets,
         )
-
-        model.train()
-        start_epoch = progress.epoch
-        run_epochs = not progress.stopped_early and start_epoch < config.epochs
-        if run_epochs:
-            for epoch in range(start_epoch, config.epochs):
-                with _span("train.epoch"), grad_arena() as arena:
-                    iterator = BatchIterator(
-                        self.examples,
-                        batch_size=config.batch_size,
-                        sampler=self._sampler,
-                        rng=self._rng,
-                    )
-                    if self._resumed_order is not None and epoch == start_epoch:
-                        order = self._resumed_order
-                        start_batch = progress.batches_done
-                        epoch_loss = progress.epoch_loss
-                        num_batches = progress.batches_done
-                    else:
-                        order = iterator.epoch_order()
-                        start_batch = 0
-                        epoch_loss = 0.0
-                        num_batches = 0
-                    for batch in iterator.iter_order(order, start_batch=start_batch):
-                        with _span("train.batch"):
-                            batch_loss = self._parallel_step(
-                                rank, batch, buf, arena, generators,
-                                offsets, num_params, shard_lo, shard_hi,
-                                state.global_step, _span,
-                            )
-                        epoch_loss += batch_loss
-                        num_batches += 1
-                        state.global_step += 1
-                        if is_root and _obs._enabled:
-                            REGISTRY.counter("repro_train_batches_total").inc()
-                            REGISTRY.gauge("repro_train_loss").set(batch_loss)
-                        if telemetry is not None:
-                            telemetry.emit(
-                                "batch", epoch=epoch, step=state.global_step,
-                                loss=batch_loss,
-                            )
-                        if (
-                            is_root
-                            and self.checkpoint_every
-                            and state.global_step % self.checkpoint_every == 0
-                        ):
-                            save_ckpt(epoch, num_batches, epoch_loss, order)
-                mean_loss = epoch_loss / max(num_batches, 1)
-                state.epoch_losses.append(mean_loss)
-                if is_root:
-                    result.epoch_losses.append(mean_loss)
-                    if _obs._enabled:
-                        REGISTRY.counter("repro_train_epochs_total").inc()
-                        REGISTRY.gauge("repro_train_epoch_loss").set(mean_loss)
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "epoch", epoch=epoch, batches=num_batches,
-                            mean_loss=mean_loss,
-                        )
-                    if config.verbose:
-                        print(f"epoch {epoch + 1}/{config.epochs}: loss={mean_loss:.4f}")
-                    if self.on_epoch_end is not None:
-                        self.on_epoch_end(epoch, mean_loss)
-                should_stop = False
-                if stopper is not None:
-                    # Every rank evaluates (identical replicas produce the
-                    # identical metric) so the stop decision needs no
-                    # broadcast and control flow stays in lockstep.
-                    from ..eval.protocol import evaluate  # deferred: eval -> baselines -> parallel is an import cycle
-
-                    model.eval()
-                    with _span("train.validate"):
-                        report = evaluate(
-                            model, self.dataset, self.validation,
-                            num_candidates=self.num_candidates,
-                        )
-                    model.train()
-                    state.validation_metrics.append(report.ndcg10)
-                    if is_root:
-                        result.validation_metrics.append(report.ndcg10)
-                        if telemetry is not None:
-                            telemetry.emit(
-                                "validation", epoch=epoch, ndcg10=float(report.ndcg10)
-                            )
-                        if config.verbose:
-                            print(f"  validation NDCG@10={report.ndcg10:.4f}")
-                    if stopper.update(epoch, report.ndcg10, model=model):
-                        state.stopped_early = True
-                        if is_root:
-                            result.stopped_early = True
-                        should_stop = True
-                if is_root and self.checkpoint_dir is not None:
-                    save_ckpt(epoch + 1, 0, 0.0, None)
-                if should_stop:
-                    break
-        if stopper is not None and state.validation_metrics:
-            stopper.restore_best(model)
-            if is_root:
-                result.best_epoch = stopper.best_epoch
-        model.eval()
-        if telemetry is not None:
-            telemetry.emit(
-                "train_end",
-                epochs_run=len(result.epoch_losses),
-                steps=state.global_step,
-                stopped_early=result.stopped_early,
-                best_epoch=result.best_epoch,
-                final_loss=result.final_loss,
-            )
+        self._loop.run(step, _root=rank == 0)
 
     # ------------------------------------------------------------------
     # One optimizer step: shard -> backward -> all-reduce -> step
@@ -553,20 +338,19 @@ class DataParallelTrainer:
     def _parallel_step(
         self,
         rank: int,
-        batch: Batch,
-        buf,
-        arena,
-        generators: List[np.random.Generator],
-        offsets: np.ndarray,
-        num_params: int,
         shard_lo: int,
         shard_hi: int,
+        generators: List[np.random.Generator],
+        offsets: np.ndarray,
+        batch: Batch,
         global_step: int,
-        _span,
+        arena: GradArena,
+        timed,
     ) -> float:
         config = self.config
         model = self.model
         optimizer = self._optimizer
+        buf = self._buffer
         bounds = shard_bounds(len(batch), self.grad_shards)
         # The *global* batch's real-target count: every shard's loss is
         # normalized by it, so the fixed-order shard sum reproduces the
@@ -586,7 +370,7 @@ class DataParallelTrainer:
             negatives = (
                 batch.negatives[lo:hi] if batch.negatives is not None else None
             )
-            with _span("train.forward"):
+            with timed("train.forward"):
                 pos, neg = model.forward_train(
                     batch.src[lo:hi], batch.times[lo:hi], batch.tgt[lo:hi], negatives
                 )
@@ -595,13 +379,13 @@ class DataParallelTrainer:
                     temperature=config.temperature, normalizer=normalizer,
                 )
             optimizer.zero_grad()
-            with _span("train.backward"):
+            with timed("train.backward"):
                 loss.backward()
             buf.losses[shard] = np.float32(loss.data)
             optimizer.write_flat_grads(buf.grads[shard], touched=buf.touched[shard])
         # Barrier A: every rank's rows are written.
         self._wait(self._barrier_a, rank)
-        with _span("train.step"):
+        with timed("train.step"):
             # Every rank performs the identical fixed-order reduction —
             # a pure function of the shard matrix, independent of which
             # process computed which row.
@@ -618,42 +402,3 @@ class DataParallelTrainer:
             arena.reset()
         return batch_loss
 
-
-def train_data_parallel(
-    model: STiSAN,
-    dataset: CheckInDataset,
-    examples: List[SequenceExample],
-    config: Optional[TrainConfig] = None,
-    *,
-    workers: int = 1,
-    grad_shards: int = DEFAULT_GRAD_SHARDS,
-    validation: Optional[List[EvalExample]] = None,
-    patience: int = 3,
-    num_candidates: int = 100,
-    telemetry: Optional[TelemetrySink] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    resume: bool = False,
-    on_epoch_end: Optional[Callable[[int, float], None]] = None,
-    barrier_timeout: float = 300.0,
-) -> TrainResult:
-    """Functional entry point mirroring :func:`train_stisan` — see
-    :class:`DataParallelTrainer` for the semantics and the determinism
-    contract (``workers=N`` is bitwise ``workers=1`` for every N)."""
-    return DataParallelTrainer(
-        model,
-        dataset,
-        examples,
-        config,
-        workers=workers,
-        grad_shards=grad_shards,
-        validation=validation,
-        patience=patience,
-        num_candidates=num_candidates,
-        telemetry=telemetry,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        on_epoch_end=on_epoch_end,
-        barrier_timeout=barrier_timeout,
-    ).train()

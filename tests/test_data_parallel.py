@@ -56,7 +56,6 @@ from repro.parallel import (
     reduce_shard_losses,
     reset_inherited_state,
     shard_bounds,
-    train_data_parallel,
     validate_world,
     world_size,
 )
@@ -585,6 +584,59 @@ class TestMetricsMerge:
 
 
 # ----------------------------------------------------------------------
+# One epoch loop serves both trainers
+# ----------------------------------------------------------------------
+def _run_shape(run, tmp_path, leg):
+    """Event kinds and keys, span names and ``repro_train_*`` metric
+    names of one observed training run; no values."""
+    path = tmp_path / f"telemetry-{leg}.jsonl"
+    sink = TelemetrySink(path)
+    with observability():
+        REGISTRY.reset()
+        run(sink, tmp_path / f"ckpt-{leg}")
+        metrics = REGISTRY.to_json()["metrics"]
+    REGISTRY.reset()
+    sink.close()
+    events = [(r["event"], sorted(r)) for r in read_telemetry(path)]
+    spans = {m["labels"]["span"] for m in metrics if m["name"] == "repro_span_seconds"}
+    train_metrics = {m["name"] for m in metrics if m["name"].startswith("repro_train")}
+    return events, spans, train_metrics
+
+
+class TestSharedEpochLoop:
+    def test_both_trainers_emit_one_structure(self, training_setup, tmp_path):
+        """``train_stisan`` and ``DataParallelTrainer`` run one epoch
+        loop: the same telemetry records with the same keys, the same
+        spans and the same ``repro_train_*`` metrics.  Values are not
+        compared, because the two loss families differ."""
+        dataset, train, _ = training_setup
+        kept, val = validation_split(
+            train, fraction=0.25, rng=np.random.default_rng(0)
+        )
+        config = TrainConfig(epochs=2, batch_size=4, num_negatives=3, seed=41)
+        options = dict(validation=val, patience=1, checkpoint_every=3)
+
+        def sequential(sink, ckpt_dir):
+            train_stisan(fresh_model(dataset), dataset, kept, config,
+                         telemetry=sink, checkpoint_dir=ckpt_dir, **options)
+
+        def parallel(sink, ckpt_dir):
+            DataParallelTrainer(fresh_model(dataset), dataset, kept, config,
+                                workers=1, telemetry=sink,
+                                checkpoint_dir=ckpt_dir, **options).train()
+
+        seq = _run_shape(sequential, tmp_path, "sequential")
+        par = _run_shape(parallel, tmp_path, "parallel")
+        events, spans, train_metrics = seq
+        assert [kind for kind, _ in events][:2] == ["train_start", "batch"]
+        assert {"epoch", "validation", "train_end"} <= {kind for kind, _ in events}
+        assert {"train.epoch", "train.batch", "train.forward", "train.backward",
+                "train.step", "train.validate"} <= spans
+        assert {"repro_train_batches_total", "repro_train_epochs_total"} <= train_metrics
+        assert par == seq
+
+
+# ----------------------------------------------------------------------
 # Constructor / platform errors
 # ----------------------------------------------------------------------
 class TestTrainerValidation:
@@ -595,10 +647,6 @@ class TestTrainerValidation:
             DataParallelTrainer(model, dataset, train, config, workers=8)
         with pytest.raises(ValueError, match="not divisible"):
             DataParallelTrainer(model, dataset, train, config, workers=3)
-        with pytest.raises(ValueError, match="barrier_timeout"):
-            DataParallelTrainer(
-                model, dataset, train, config, workers=1, barrier_timeout=0
-            )
         with pytest.raises(ValueError, match="checkpoint_dir"):
             DataParallelTrainer(
                 model, dataset, train, config, workers=1, checkpoint_every=2
@@ -607,9 +655,3 @@ class TestTrainerValidation:
             DataParallelTrainer(
                 model, dataset, train, config, workers=1, resume=True
             )
-
-    def test_train_data_parallel_wrapper(self, training_setup):
-        dataset, train, config = training_setup
-        model = fresh_model(dataset)
-        result = train_data_parallel(model, dataset, train, config, workers=1)
-        assert len(result.epoch_losses) == config.epochs

@@ -394,7 +394,7 @@ class NoTensorDataMutationRule:
     description = (
         "Op implementations must not mutate Tensor.data of their operands; "
         "autograd assumes forward values survive until backward "
-        "(use Tensor.assign_/bump_version for sanctioned updates)."
+        "(use Tensor.assign_/index_put_/bump_version for sanctioned updates)."
     )
     severity = "error"
     family = "autograd"
@@ -449,8 +449,10 @@ class NoTensorDataMutationRule:
                         _finding(
                             module, node, self.rule_id,
                             "assignment into Tensor.data outside the Tensor "
-                            "class; use Tensor.assign_() (bumps the anomaly-"
-                            "mode version counter) or build a new Tensor",
+                            "class; use Tensor.assign_() or, to write rows in "
+                            "place, Tensor.index_put_() (both bump the "
+                            "anomaly-mode version counter), or build a new "
+                            "Tensor",
                         )
                     )
         return findings

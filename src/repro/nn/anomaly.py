@@ -12,11 +12,12 @@ half is :mod:`repro.lint`):
   gradients it produced, raising :class:`AnomalyError` that names the
   *producing* op and the operand shapes the moment a non-finite value
   appears.
-- A version counter on ``Tensor`` (see ``Tensor.bump_version`` /
-  ``Tensor.assign_``): while anomaly mode is active, each op records
-  the versions of its inputs at graph-construction time, and
-  ``backward`` verifies they are unchanged — detecting tensors that
-  were mutated in place between the forward and the backward pass.
+- A version counter on ``Tensor`` (see ``Tensor.bump_version``,
+  ``Tensor.assign_`` and ``Tensor.index_put_``): while anomaly mode is
+  active, each op records the versions of its inputs at
+  graph-construction time, and ``backward`` verifies they are
+  unchanged — detecting tensors that were mutated in place between the
+  forward and the backward pass.
 
 When anomaly mode is off the engine takes a single predicted branch per
 op, so training speed is unaffected.

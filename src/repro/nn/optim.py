@@ -246,17 +246,21 @@ class FlatAdam(Adam):
 
     Semantics preserved:
 
-    - **assign_/version counters** — after each step every stepped
-      parameter is re-pointed at a freshly allocated array via
-      ``assign_`` (bumping its version as the per-parameter path does):
-      a slice view of the step's flat result buffer, or, for a table, a
-      copy of the table with the live rows replaced.  That copy is the
-      one table-sized pass a step keeps: results are never mutated
-      afterwards, so earlier views of a parameter stay valid.  If
+    - **version counters** — each step bumps the version of every
+      parameter with a gradient exactly once, as the per-parameter path
+      does.  A dense parameter is re-pointed via ``assign_`` at a slice
+      view of the step's freshly allocated flat result buffer, which is
+      never mutated afterwards, so earlier views of it stay valid.  If
       outside code replaces a dense parameter's array
       (``load_state_dict``, early-stopping restore), the detached view
       is detected by identity (`p.data is view`) and the flat buffer is
       re-synced from the parameter on the next step.
+    - **tables step in place** — a table's live rows are written into
+      its own array via ``index_put_``, so a step allocates nothing the
+      size of the table; the version bumps even with no live row.
+      Holders of the array see the new rows: ``Module.state_dict``,
+      early-stopping snapshots and checkpoints copy it, and embedding
+      lookups gather fresh arrays.
     - **missing gradients** — ``Adam`` skips parameters whose ``grad``
       is None (moments untouched, value unchanged); so does this step.
     - **checkpoints** — ``state_dict``/``load_state_dict`` present the
@@ -480,6 +484,4 @@ class FlatAdam(Adam):
         else:
             g = grad[rows]
         stepped = self._update(param.data[rows], g, table.m, table.v, bias1, bias2)
-        new = param.data.copy()
-        new[rows] = stepped
-        param.assign_(new)
+        param.index_put_(rows, stepped)

@@ -314,6 +314,17 @@ class Tensor:
         self._version += 1
         return self
 
+    def index_put_(self, index, values: ArrayLike) -> "Tensor":
+        """Write ``values`` into ``self.data[index]`` in place (an
+        optimizer stepping an embedding table's live rows).  Unlike
+        :meth:`assign_` the array is kept, so every holder of it sees
+        the new values; the version bump still makes a backward pass
+        over a graph built before this call fail under anomaly mode.
+        Bumps once even when ``index`` selects nothing."""
+        self.data[index] = values
+        self._version += 1
+        return self
+
     # ------------------------------------------------------------------
     # Graph construction helper
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core import STiSANConfig, TrainConfig
+from repro.core import EarlyStopping, STiSANConfig, TrainConfig
 from repro.core.iaab import IntervalAwareAttentionBlock, IntervalAwareAttentionLayer
 from repro.core.loss import weighted_bce_loss
 from repro.core.stisan import STiSAN
@@ -40,7 +40,7 @@ from repro.core.taad import TargetAwareAttentionDecoder, step_causal_mask
 from repro.core.trainer import train_stisan
 from repro.data import partition
 from repro.faults import SimulatedCrash, fault_injection
-from repro.nn import anomaly_mode, fused
+from repro.nn import AnomalyError, anomaly_mode, fused
 from repro.nn import functional as F
 from repro.nn.attention import (
     MultiHeadAttention,
@@ -48,8 +48,8 @@ from repro.nn.attention import (
     causal_mask,
     scaled_dot_product_attention,
 )
-from repro.nn.layers import LayerNorm
-from repro.nn.module import Parameter
+from repro.nn.layers import Embedding, LayerNorm
+from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.rowsparse import RowSparseGrad, dense_grad
 from repro.nn.tensor import Tensor, grad_arena
@@ -451,6 +451,19 @@ def _run_sparse_pair(ref_opt, flat_opt, steps, via, seed=0, on_step=None):
 ADAM_KWARGS = [dict()]
 
 
+class _TableModel(Module):
+    """A 500-row embedding table (a ``FlatAdam`` row table) and a small
+    dense projection."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.table = Embedding(500, 4, padding_idx=0, rng=rng)
+        self.proj = Parameter(rng.standard_normal(4).astype(np.float32))
+
+    def loss(self, idx):
+        return (self.table(idx) * self.proj).sum()
+
+
 class TestFlatAdamBitwise:
     @pytest.mark.parametrize("via", ["step", "step_flat"])
     @pytest.mark.parametrize("kwargs", ADAM_KWARGS)
@@ -528,11 +541,11 @@ class TestFlatAdamBitwise:
                 opt.step()
             _assert_bitwise(ref_opt, flat_opt, f"at step {step}")
 
-    def test_padding_only_batch_repoints_the_table(self):
+    def test_padding_only_batch_bumps_the_table_version(self):
         """A row table whose only lookups are padding has a gradient but
-        no live rows: like ``Adam``, the step still re-points it at a
-        fresh array and bumps its version, leaving earlier arrays
-        untouched."""
+        no live rows: like ``Adam``, the step still bumps its version.
+        ``Adam`` re-points it at a fresh array; ``FlatAdam`` keeps the
+        array and its bits."""
         legs = [_make_sparse_params(4) for _ in range(2)]
         ref_opt, flat_opt = Adam(legs[0], lr=1e-2), FlatAdam(legs[1], lr=1e-2)
         assert 0 in flat_opt._tables
@@ -543,12 +556,88 @@ class TestFlatAdamBitwise:
                 F.embedding_lookup(params[0], pad, padding_idx=0).sum().backward()
                 assert isinstance(params[0].grad, RowSparseGrad)
                 before, version = params[0].data, params[0]._version
+                bits = _bits(before).copy()
                 opt.step()
-                assert params[0].data is not before
+                if opt is flat_opt:
+                    assert params[0].data is before
+                    np.testing.assert_array_equal(_bits(params[0].data), bits)
+                else:
+                    assert params[0].data is not before
                 assert params[0]._version == version + 1
             assert not flat_opt._tables[0].rows.size
             assert legs[1][0]._version == legs[0][0]._version
             _assert_bitwise(ref_opt, flat_opt, f"at step {step}")
+
+    def test_untouched_rows_keep_their_bits(self):
+        """The table is stepped in place, and rows no step makes live
+        keep their exact bit patterns: the held-back rows, with their
+        ``-0.0`` and ``inf`` entries, and the low rows never drawn."""
+        params = _make_sparse_params(5)
+        table = params[0].data
+        initial = _bits(table).copy()
+        opt = FlatAdam(params, lr=1e-2)
+        for step in range(FIRST_TOUCH):
+            _sparse_grads(params, step, np.random.default_rng(80 + step))
+            opt.clip_grad_norm(1.0)
+            opt.step()
+            assert params[0].data is table
+        live = opt._tables[0].rows
+        dead = np.setdiff1d(np.arange(EMBED_ROWS), live)
+        assert live.size and (dead >= HELD_ROWS).sum() == EMBED_ROWS - HELD_ROWS
+        assert (dead < HELD_ROWS).any()
+        np.testing.assert_array_equal(_bits(table[dead]), initial[dead])
+        np.testing.assert_array_equal(
+            _bits(table[EMBED_ROWS - 1]), _bits(np.array([-0.0, np.inf, -0.0])))
+        assert _bits(table[HELD_ROWS + 3, 2]) == _bits(np.float32(-0.0))
+        assert not np.array_equal(_bits(table[live]), initial[live])
+
+    def test_snapshots_survive_in_place_steps(self):
+        """A ``Module.state_dict`` snapshot and an ``EarlyStopping``
+        best state taken before three more steps of a 500-row table
+        stay bitwise unchanged, and ``restore_best`` brings them back."""
+        model = _TableModel(np.random.default_rng(9))
+        opt = FlatAdam(model.parameters(), lr=1e-2)
+        assert len(opt._tables) == 1
+
+        def step(seed):
+            rng = np.random.default_rng(seed)
+            opt.zero_grad()
+            model.loss(rng.integers(0, 500, size=(4, 6))).backward()
+            opt.step()
+
+        step(0)
+        snapshot = model.state_dict()
+        stopper = EarlyStopping(patience=2)
+        stopper.update(0, 1.0, model)
+        bits = {name: _bits(value).copy() for name, value in snapshot.items()}
+        table = model.table.weight.data
+        for seed in range(1, 4):
+            step(seed)
+        assert model.table.weight.data is table
+        assert not np.array_equal(_bits(table), bits["table.weight"])
+        for name, value in snapshot.items():
+            np.testing.assert_array_equal(_bits(value), bits[name], err_msg=name)
+            np.testing.assert_array_equal(_bits(stopper._best_state[name]), bits[name],
+                                          err_msg=name)
+        assert stopper.restore_best(model)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(_bits(value), bits[name], err_msg=name)
+        assert model.table.weight.data is not stopper._best_state["table.weight"]
+
+    def test_in_place_step_trips_anomaly_mode(self):
+        """A graph that read the table before a step cannot be
+        differentiated after it: the in-place write bumps the version."""
+        model = _TableModel(np.random.default_rng(10))
+        opt = FlatAdam(model.parameters(), lr=1e-2)
+        idx = np.random.default_rng(0).integers(1, 500, size=(4, 6))
+        with anomaly_mode():
+            model.loss(idx).backward()
+            stale = model.table(idx).sum()  # reads no dense parameter
+            table = model.table.weight.data
+            opt.step()
+            assert model.table.weight.data is table
+            with pytest.raises(AnomalyError, match="version"):
+                stale.backward()
 
     @pytest.mark.parametrize("via", ["step", "step_flat"])
     def test_load_state_dict_with_negative_zero_moments(self, via):

@@ -3,12 +3,15 @@
 Not a timing test: ``tracemalloc`` (numpy reports its buffers to it)
 records the peak allocation of one ``train_stisan`` call at the
 benchmark's ``catalogue_500k`` shapes.  The POI table is 500,001 x 8
-float32, 15.3 MiB.  With row-sparse embedding gradients a call keeps
-one table-sized allocation, the fresh table ``FlatAdam`` writes the
-stepped rows into, and peaked at 20.0-20.4 MiB; the dense gradient
-path it replaced peaked at 114.7-115.0 MiB (numpy 2.4, scipy 1.17).
-Any further table-sized pass (a dense gradient, a flat copy of the
-table, dense moments) adds 15.3 MiB and fails the bound.
+float32, 15.3 MiB.  With row-sparse embedding gradients and
+``FlatAdam`` writing the stepped rows into the table in place, a call
+allocates nothing the size of the table and peaked at 4.8-5.2 MiB.
+Two retired passes show the scale: with the fresh table copy
+``FlatAdam`` used to write the rows into, a call peaked at 19.4-20.4
+MiB, and on the dense gradient path before it at 114.7-115.0 MiB
+(numpy 2.4, scipy 1.17).
+Any table-sized pass (a table copy, a dense gradient, a flat copy of
+the table, dense moments) adds 15.3 MiB and fails the bound.
 """
 
 import importlib
@@ -24,9 +27,13 @@ from repro.data import partition
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-#: Measured peak 20.0-20.4 MiB, plus headroom well below one more
-#: 15.3 MiB table-sized allocation.
-PEAK_BOUND_MIB = 24.0
+#: Measured peak 4.8-5.2 MiB, plus headroom well below one 15.3 MiB
+#: table-sized allocation.
+PEAK_BOUND_MIB = 8.0
+
+#: The positive control: a known numpy allocation inside the traced
+#: window, so a tracer that lost numpy fails instead of reading low.
+CONTROL_MIB = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +57,16 @@ def test_catalogue_500k_training_call_peak_allocation(workloads):
     batch = windows[W.SCALE_BATCH:2 * W.SCALE_BATCH]
     tracemalloc.start()
     try:
+        control = np.ones(int(CONTROL_MIB * 2 ** 20), dtype=np.uint8)
+        control_mib = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        del control
+        tracemalloc.reset_peak()
         train_stisan(model, ds, batch, config)
         peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
     table_mib = model.poi_embedding.weight.data.nbytes / 2 ** 20
-    assert peak_mib >= table_mib, "the stepped table was not allocated: tracing lost numpy"
+    assert control_mib >= CONTROL_MIB, "a known numpy buffer was not traced: tracing lost numpy"
     assert peak_mib < PEAK_BOUND_MIB, (
         f"one training call peaked at {peak_mib:.1f} MiB (bound {PEAK_BOUND_MIB}); "
         f"a {table_mib:.1f} MiB table-sized pass came back"

@@ -31,7 +31,7 @@ import resource
 import time
 import tracemalloc
 
-from common import QUICK, banner, persist, results_store
+from common import QUICK, banner, machine_facts, persist, results_store
 
 import numpy as np
 
@@ -75,11 +75,14 @@ MODEL_BUILD_CEILING_S_PER_POI = 10e-6
 #: k-NN query) then the same batch warm (every pool from the LRU).
 SAMPLE_BATCH_SHAPE = (8, 16) if QUICK else (16, 16)
 
-#: Training leg: a few real optimizer steps over the scale catalogue
-#: with the sharded loss head wired in.
+#: Training leg: real optimizer steps over the scale catalogue with the
+#: sharded loss head wired in.  One untimed warm-up step, then a timed
+#: window long enough to resolve a change in step time (3 steps with
+#: the first included read anywhere from 6.5 to 12.3 steps/s on one
+#: tree).
 TRAIN_N = 16
 TRAIN_BATCH = 8
-TRAIN_STEPS = 2 if QUICK else 3
+TRAIN_STEPS = 5 if QUICK else 20
 LOSS_SHARD = 64
 
 #: Serving leg: evaluation-protocol slates straight off the shared
@@ -214,33 +217,36 @@ def run_scale_profile() -> dict:
     model_build_s = time.perf_counter() - t0
     optimizer = FlatAdam(model.parameters(), lr=3e-3)
     model.train()
-    subset = examples[: TRAIN_BATCH * TRAIN_STEPS]
-    iterator = BatchIterator(
+    # Windows repeat when the catalogue has fewer than the steps need.
+    subset = [examples[i % len(examples)] for i in range(TRAIN_BATCH * (1 + TRAIN_STEPS))]
+    batches = iter(BatchIterator(
         subset, batch_size=TRAIN_BATCH, sampler=sampler, rng=np.random.default_rng(0)
-    )
-    first_loss = None
-    t0 = time.perf_counter()
-    steps = 0
+    ))
+
+    def train_step(arena) -> float:
+        batch = next(batches)
+        pos, neg = model.forward_train(batch.src, batch.times, batch.tgt, batch.negatives)
+        loss = weighted_bce_loss_sharded(
+            pos, neg, batch.target_mask, temperature=1.0, shard_size=LOSS_SHARD
+        )
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        arena.reset()
+        return float(loss.data)
+
     with grad_arena() as arena:
-        for batch in iterator:
-            pos, neg = model.forward_train(
-                batch.src, batch.times, batch.tgt, batch.negatives
-            )
-            loss = weighted_bce_loss_sharded(
-                pos, neg, batch.target_mask, temperature=1.0, shard_size=LOSS_SHARD
-            )
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            arena.reset()
-            if first_loss is None:
-                first_loss = float(loss.data)
-            steps += 1
-    train_s = time.perf_counter() - t0
+        first_loss = train_step(arena)  # the untimed warm-up step
+        t0 = time.perf_counter()
+        for _ in range(TRAIN_STEPS):
+            train_step(arena)
+        train_s = time.perf_counter() - t0
     report["train"] = {
         "model_build_s": model_build_s,
-        "steps": steps,
-        "steps_per_sec": steps / train_s,
+        "warmup_steps": 1,
+        "steps": TRAIN_STEPS,
+        "steps_per_sec": TRAIN_STEPS / train_s,
+        "ms_per_step": 1e3 * train_s / TRAIN_STEPS,
         "loss_shard_size": LOSS_SHARD,
         "first_step_loss": first_loss,
         "peak_rss_mb": _peak_rss_mb(),
@@ -291,7 +297,9 @@ def test_scale_profile(benchmark):
         f"(ceiling {rss_ceiling:.0f} MB; dense table would be {dense_mb:.0f} MB)"
     )
     print(
-        f"train        {train['steps_per_sec']:6.3f} steps/s at shard {LOSS_SHARD}, "
+        f"train        {train['steps_per_sec']:6.3f} steps/s "
+        f"({train['ms_per_step']:.1f} ms/step over {train['steps']} steps "
+        f"after {train['warmup_steps']} warm-up) at shard {LOSS_SHARD}, "
         f"model built in {train['model_build_s']:.2f} s "
         f"({train['model_build_s'] / SCALE_POIS * 1e6:.1f} us/POI, "
         f"ceiling {MODEL_BUILD_CEILING_S_PER_POI * 1e6:.0f} us)"
@@ -303,6 +311,7 @@ def test_scale_profile(benchmark):
     persist(
         "BENCH_scale",
         report,
+        machine=machine_facts(),
         num_pois=SCALE_POIS, pool_size=POOL_SIZE,
         rss_ceiling_mb=rss_ceiling, setup_ceiling_s=SAMPLER_SETUP_CEILING_S,
         model_build_ceiling_s_per_poi=MODEL_BUILD_CEILING_S_PER_POI,

@@ -109,6 +109,33 @@ def results_store():
     return ResultsStore(Path(__file__).parent / "results")
 
 
+def machine_facts() -> dict:
+    """Cores, library versions and the checkout's commit, recorded with
+    a result so that the next run can be compared against it."""
+    import platform
+    import subprocess
+    from pathlib import Path
+
+    import numpy
+    import scipy
+
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "usable_cores": len(os.sched_getaffinity(0)),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "git_sha": sha,
+    }
+
+
 def persist(experiment: str, rows: dict, **meta) -> None:
     """Write {row_name: MetricReport-or-dict} to the results store."""
     from repro.eval import ExperimentRecord

@@ -28,6 +28,7 @@ from ..nn.attention import NEG_INF
 from ..nn.layers import Dropout, LayerNorm, Linear, PositionwiseFeedForward
 from ..nn.module import Module
 from ..nn.tensor import Tensor
+from .packing import WHOLE, Packing
 
 
 class IntervalAwareAttentionLayer(Module):
@@ -59,7 +60,7 @@ class IntervalAwareAttentionLayer(Module):
         relation_bias: Optional[np.ndarray],
         attend_mask: np.ndarray,
         return_weights: bool = False,
-        cut: int = 0,
+        packing: Optional[Packing] = None,
     ) -> Tensor | Tuple[Tensor, np.ndarray]:
         """
         Parameters
@@ -69,32 +70,49 @@ class IntervalAwareAttentionLayer(Module):
             (ignored when ``use_relation`` is False).
         attend_mask : (..., n, n) bool, True = blocked (future/padding).
         return_weights : additionally return the attention map for the
-            interpretability figures.
-        cut : ``x`` is columns ``cut:`` of a (b, cut + n, d) batch; dropout
-            draws its mask at that full width and slices it.
+            interpretability figures (a batch run whole only).
+        packing : the layout of ``x`` when it holds the tokens of a
+            :class:`~repro.core.packing.Packing`; ``relation_bias`` and
+            ``attend_mask`` then hold one array per cut group, and the
+            attention runs once per group.
         """
-        v = self.w_v(x)
+        if packing is None:
+            packing, relation_bias, attend_mask = WHOLE, [relation_bias], [attend_mask]
+        v = packing.split(self.w_v(x))
         if self.use_attention:
-            q, k = self.w_q(x), self.w_k(x)
-            bias = relation_bias if self.use_relation else None
-            result = fused.fused_causal_attention(
-                q, k, v, relation_bias=bias, mask=attend_mask,
-                return_weights=return_weights,
-            )
-            if return_weights:
-                out, weights_arr = result
-                return self.drop(out, cut=cut), weights_arr
-            return self.drop(result, cut=cut)
-        # Ablation "Remove SA": A = Softmax(R) V — Eq. (16).
-        if relation_bias is None:
-            raise ValueError("relation_bias required when attention is disabled")
-        scores = Tensor(np.broadcast_to(relation_bias, relation_bias.shape).copy())
-        scores = scores.masked_fill(attend_mask, NEG_INF)
-        weights = F.softmax(scores, axis=-1)
-        out = self.drop(weights @ v, cut=cut)
+            q, k = packing.split(self.w_q(x)), packing.split(self.w_k(x))
+            bias = relation_bias if self.use_relation else [None] * len(attend_mask)
+            results = [
+                fused.fused_causal_attention(
+                    q[i], k[i], v[i], relation_bias=bias[i], mask=attend_mask[i],
+                    return_weights=return_weights,
+                )
+                for i in range(len(attend_mask))
+            ]
+        else:
+            # Ablation "Remove SA": A = Softmax(R) V — Eq. (16).
+            if relation_bias[0] is None:
+                raise ValueError("relation_bias required when attention is disabled")
+            results = [
+                _relation_attention(relation_bias[i], attend_mask[i], v[i], return_weights)
+                for i in range(len(attend_mask))
+            ]
         if return_weights:
-            return out, weights.data.copy()
-        return out
+            (out, weights), = results
+            return self.drop(out, packing), weights
+        return self.drop(packing.join(results), packing)
+
+
+def _relation_attention(
+    relation_bias: np.ndarray, attend_mask: np.ndarray, v: Tensor, return_weights: bool
+) -> Tensor | Tuple[Tensor, np.ndarray]:
+    """``Softmax(R) V`` with the blocked entries masked."""
+    scores = Tensor(relation_bias.copy()).masked_fill(attend_mask, NEG_INF)
+    weights = F.softmax(scores, axis=-1)
+    out = weights @ v
+    if return_weights:
+        return out, weights.data.copy()
+    return out
 
 
 class IntervalAwareAttentionBlock(Module):
@@ -128,18 +146,19 @@ class IntervalAwareAttentionBlock(Module):
         relation_bias: Optional[np.ndarray],
         attend_mask: np.ndarray,
         return_weights: bool = False,
-        cut: int = 0,
+        packing: Optional[Packing] = None,
     ) -> Tensor | Tuple[Tensor, np.ndarray]:
-        """``cut``: ``x`` is columns ``cut:`` of a wider batch; both
-        dropouts draw at the full width (see the attention layer)."""
+        """``packing``: the layout of ``x`` (see the attention layer);
+        both dropouts draw at the batch shape and pack their masks."""
         if return_weights:
             attn_out, weights = self.attn(
-                self.attn_norm(x), relation_bias, attend_mask, return_weights=True, cut=cut
+                self.attn_norm(x), relation_bias, attend_mask, return_weights=True,
+                packing=packing,
             )
         else:
-            attn_out = self.attn(self.attn_norm(x), relation_bias, attend_mask, cut=cut)
+            attn_out = self.attn(self.attn_norm(x), relation_bias, attend_mask, packing=packing)
         x = x + attn_out
-        x = x + self.ffn(self.ffn_norm(x), cut=cut)
+        x = x + self.ffn(self.ffn_norm(x), packing)
         if return_weights:
             return x, weights
         return x

@@ -12,12 +12,12 @@ Pipeline
    target-aware preference vectors.
 5. **Matching** (III-G): inner-product scores, ranked for Top-K.
 
-Only the live columns are run.  Inference groups rows by
-:func:`live_cut` and each group runs steps 1–4 on its columns from the
-cut on.  A training step runs the whole batch from its smallest cut;
-dropout draws its masks at the full width and slices them, so the RNG
-stream is unchanged (see ``DESIGN.md``, "Running only the live
-columns").
+Only the live columns are run.  Every row runs from its own
+:func:`live_cut`: the rows' live tokens are packed into one stack
+(:class:`repro.core.packing.Packing`), row-local work runs once on it,
+and attention and TAAD run once per cut group.  Dropout draws its masks
+at the full batch shape and packs them, so the RNG stream is unchanged
+(see ``DESIGN.md``, "Running only the live columns").
 
 Every ablation variant of Table IV is reachable through
 :class:`repro.core.config.STiSANConfig` switches.
@@ -32,12 +32,13 @@ import numpy as np
 from ..data.types import PAD_POI
 from ..nn.layers import Dropout, Embedding, LayerNorm
 from ..nn.module import Module, ModuleList
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import Tensor, concatenate, split
 from ..obs import span
 from .cache import ServingCaches
 from .config import STiSANConfig
 from .geo_encoder import GeographyEncoder
 from .iaab import IntervalAwareAttentionBlock
+from .packing import Packing
 from .relation import (
     build_relation_matrix, build_relation_matrix_cached, causal_attend_mask, scaled_relation_bias,
 )
@@ -58,14 +59,6 @@ def live_cut(pad: np.ndarray) -> np.ndarray:
     """
     first = np.argmin(pad, axis=-1)
     return first - first % 8
-
-
-def _pad_head(t: Tensor, cut: int) -> Tensor:
-    """(b, w, ...) -> (b, cut + w, ...) with zeros in the first ``cut`` columns."""
-    if cut == 0:
-        return t
-    head = np.zeros((t.shape[0], cut, *t.shape[2:]), dtype=t.data.dtype)
-    return concatenate([Tensor(head), t], axis=1)
 
 
 class STiSAN(Module):
@@ -169,17 +162,19 @@ class STiSAN(Module):
         Returns
         -------
         (b, n, d) encoder outputs (plus the attention maps if asked).
-        Where :meth:`_row_cuts` allows it, the stack runs from the
-        batch's smallest :func:`live_cut` on and the dropped head-padding
-        columns come back as zero rows.
+        Where :meth:`_row_cuts` allows it, each row runs from its own
+        :func:`live_cut` and the dropped head-padding columns come back
+        as zero rows.
         """
         src = np.asarray(src, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         pad = src == PAD_POI                                  # (b, n)
+        cuts = np.zeros(len(src), dtype=np.int64) if return_weights else self._row_cuts(pad)
+        packing = Packing(cuts, src.shape[1])
+        e, = self._embed_packed(packing, src)
         if return_weights:
-            return self._encode_live(src, times, pad, 0, return_weights=True)
-        cut = self._batch_cut(pad)
-        return _pad_head(self._encode_live(src, times, pad, cut), cut)
+            return self._encode(e, src, times, pad, packing, return_weights=True)
+        return packing.unpack(self._encode(e, src, times, pad, packing))
 
     def _row_cuts(self, pad: np.ndarray) -> np.ndarray:
         """Per-row :func:`live_cut`, or zeros while serving caches are
@@ -189,71 +184,94 @@ class STiSAN(Module):
             return np.zeros(pad.shape[0], dtype=np.int64)
         return live_cut(pad)
 
-    def _batch_cut(self, pad: np.ndarray) -> int:
-        """The smallest of :meth:`_row_cuts`: the first column every row
-        of the batch must keep."""
-        cuts = self._row_cuts(pad)
-        return int(cuts.min()) if cuts.size else 0
+    def _embed_packed(self, packing: Packing, src: np.ndarray, *others: np.ndarray) -> List[Tensor]:
+        """The packed source tokens and any ``others`` (arrays of more POI
+        ids) embedded in one call -> one (..., d) tensor for each."""
+        tokens = packing.pack(src)
+        with span("model.embed"):
+            if not others:
+                return [self.embed(tokens)]
+            e = self.embed(np.concatenate([tokens.ravel(), *(ids.ravel() for ids in others)]))
+        return split(e, [(*ids.shape, e.shape[-1]) for ids in (tokens, *others)])
 
-    def _encode_live(
+    def _encode(
         self,
+        e: Tensor,
         src: np.ndarray,
         times: np.ndarray,
         pad: np.ndarray,
-        cut: int,
+        packing: Packing,
         return_weights: bool = False,
     ) -> Tensor | Tuple[Tensor, List[np.ndarray]]:
-        """The encoder on columns ``cut:`` -> (b, n - cut, d).
+        """The encoder on every row's live columns -> the packed outputs.
+
+        ``e`` is the embedding of the packed source tokens
+        (:meth:`_embed_packed`).
 
         Position codes count the head padding (Eq. 2 and vanilla PE are
         absolute), so they come from the full-width window and are then
-        sliced, never recomputed on the trimmed one.  Every dropout gets
-        ``cut`` and draws its mask at the full width, so a trimmed
+        packed, never recomputed on a trimmed one.  Every dropout gets
+        the packing and draws its mask at the batch shape, so a packed
         training step consumes the same random numbers as a full one.
+        The attend mask and relation bias are built per cut group from
+        the group's own rows and columns.
         """
-        codes = self.position_encoder(times, pad_mask=pad)[:, cut:]
-        src, times, pad = src[:, cut:], times[:, cut:], pad[:, cut:]
+        codes = packing.pack(self.position_encoder(times, pad_mask=pad))
+        live_pad = packing.pack(pad)
 
         # Sinusoidal codes (TAPE or vanilla PE) have unit-scale
         # components; rescale the small-init embeddings before adding
         # them (the usual Transformer ×sqrt(d) trick).
-        with span("model.embed"):
-            e = self.embed(src) * np.float32(np.sqrt(self.config.dim))
-            e = e + Tensor(codes)
-            # Padding rows stay exactly zero.
-            e = e.masked_fill(pad[..., None], 0.0)
-            e = self.embed_dropout(e, cut=cut)
+        e = e * np.float32(np.sqrt(self.config.dim))
+        e = e + Tensor(codes)
+        # Padding rows stay exactly zero.
+        e = e.masked_fill(live_pad[..., None], 0.0)
+        e = self.embed_dropout(e, packing)
 
-        attend_mask = causal_attend_mask(pad)
-        relation_bias = None
-        if self.config.use_relation:
-            with span("model.relation_build"):
-                coords = self.poi_coords[src]
-                caches = self._active_caches()
-                if caches is not None:
-                    relation = build_relation_matrix_cached(
-                        times, coords, self.config.relation, pad,
-                        caches.relations, owners=caches.row_owners,
-                    )
-                else:
-                    relation = build_relation_matrix(
-                        times, coords, config=self.config.relation, pad_mask=pad
-                    )
-                relation_bias = scaled_relation_bias(relation, attend_mask)
+        attend_masks, relation_biases = [], []
+        for g_src, g_times, g_pad in zip(
+            packing.per_group(src), packing.per_group(times), packing.per_group(pad)
+        ):
+            mask = causal_attend_mask(g_pad)
+            attend_masks.append(mask)
+            relation_biases.append(
+                self._relation_bias(g_src, g_times, g_pad, mask)
+                if self.config.use_relation else None
+            )
 
         weights_per_block: List[np.ndarray] = []
         with span("model.attention"):
             for block in self.blocks:
                 if return_weights:
-                    e, w = block(e, relation_bias, attend_mask, return_weights=True, cut=cut)
+                    e, w = block(
+                        e, relation_biases, attend_masks, return_weights=True, packing=packing
+                    )
                     weights_per_block.append(w)
                 else:
-                    e = block(e, relation_bias, attend_mask, cut=cut)
+                    e = block(e, relation_biases, attend_masks, packing=packing)
         e = self.final_norm(e)
-        e = e.masked_fill(pad[..., None], 0.0)
+        e = e.masked_fill(live_pad[..., None], 0.0)
         if return_weights:
             return e, weights_per_block
         return e
+
+    def _relation_bias(
+        self, src: np.ndarray, times: np.ndarray, pad: np.ndarray, attend_mask: np.ndarray
+    ) -> np.ndarray:
+        """The softmax-scaled relation matrix of one cut group's columns."""
+        with span("model.relation_build"):
+            coords = self.poi_coords[src]
+            caches = self._active_caches()
+            if caches is not None:
+                relation = build_relation_matrix_cached(
+                    times, coords, self.config.relation, pad,
+                    caches.relations, owners=caches.row_owners,
+                )
+            else:
+                relation = build_relation_matrix(
+                    times, coords, config=self.config.relation, pad_mask=pad
+                )
+            return scaled_relation_bias(relation, attend_mask)
 
     # ------------------------------------------------------------------
     # Training forward
@@ -267,11 +285,10 @@ class STiSAN(Module):
     ) -> Tuple[Tensor, Tensor]:
         """Score the true target and its negatives at every step.
 
-        Returns (pos_scores (b, n), neg_scores (b, n, L)).  The step runs
-        on the columns from the batch's smallest :func:`live_cut` on; the
-        columns before it are head padding in every row, so their
-        targets are padding too and their scores come back as zeros,
-        which the loss masks.
+        Returns (pos_scores (b, n), neg_scores (b, n, L)).  Each row
+        runs on its columns from its own :func:`live_cut` on; the
+        columns before it are head padding, so their targets are padding
+        too and their scores come back as zeros, which the loss masks.
         """
         src = np.asarray(src, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
@@ -291,22 +308,24 @@ class STiSAN(Module):
             # TAAD would attend no key for such a step (a uniform
             # softmax over every step, future ones included).
             raise ValueError("targets must be padding wherever src is padding")
-        b, n = src.shape
-        cut = self._batch_cut(pad)
-        w = n - cut
-        enc = self._encode_live(src, times, pad, cut)          # (b, w, d)
-
-        cand_ids = np.concatenate([targets[:, cut:, None], negatives[:, cut:]], axis=-1)
-        cand = self.embed(cand_ids)                            # (b, w, 1+L, d)
+        packing = Packing(self._row_cuts(pad), src.shape[1])
+        cand_ids = packing.pack(np.concatenate([targets[..., None], negatives], axis=-1))
+        e, cand = self._embed_packed(packing, src, cand_ids)   # packed (T, d), (T, 1+L, d)
+        enc = self._encode(e, src, times, pad, packing)        # packed (T, d)
 
         if self.config.use_taad:
-            pad_keys = pad[:, None, None, cut:]                # (b, 1, 1, w)
-            mask = step_causal_mask(w, w)[None, ...] | pad_keys
-            s = self.decoder(cand, enc, attend_mask=mask)      # (b, w, 1+L, d)
+            pieces = []
+            for c, f, keys in zip(
+                packing.split(cand), packing.split(enc), packing.per_group(pad)
+            ):
+                w = keys.shape[1]
+                mask = step_causal_mask(w, w)[None, ...] | keys[:, None, None, :]
+                pieces.append(self.decoder(c, f, attend_mask=mask))
+            s = packing.join(pieces)                           # packed (T, 1+L, d)
         else:
             # Ablation "Remove TAAD": match encoder output directly (Eq. 17).
-            s = enc.reshape(b, w, 1, enc.shape[-1])
-        scores = _pad_head(preference_scores(s, cand), cut)    # (b, n, 1+L)
+            s = enc.reshape(*enc.shape[:-1], 1, enc.shape[-1])
+        scores = packing.unpack(preference_scores(s, cand))    # (b, n, 1+L)
         return scores[..., 0], scores[..., 1:]
 
     # ------------------------------------------------------------------
@@ -321,9 +340,8 @@ class STiSAN(Module):
         """Preference scores over explicit candidate slates.
 
         ``candidates``: (b, c) POI ids; returns (b, c) float scores for
-        the *next* check-in after the full source sequence.  Rows are
-        grouped by :func:`live_cut`; each group runs the encoder and
-        TAAD on its columns from the cut on.
+        the *next* check-in after the full source sequence.  Each row
+        runs from its own :func:`live_cut`; TAAD runs once per cut group.
         """
         src = np.asarray(src, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
@@ -337,22 +355,19 @@ class STiSAN(Module):
                 f"candidates must be (b, c) with b = {len(src)} rows, got {candidates.shape}"
             )
         pad = src == PAD_POI
-        cuts = self._row_cuts(pad)
-        cand_all = self.embed(candidates)                      # (b, c, d)
+        packing = Packing(self._row_cuts(pad), src.shape[1])
+        # Candidates with rows in cut order, embedded with the tokens.
+        e, cand = self._embed_packed(packing, src, packing.sort_rows(candidates))
+        enc = packing.split(self._encode(e, src, times, pad, packing))
         scores = np.empty(candidates.shape, dtype=np.float32)
-        groups = np.unique(cuts)
-        for cut in groups:
-            # One group (always so with serving caches) takes views, not copies.
-            rows = np.flatnonzero(cuts == cut) if len(groups) > 1 else slice(None)
-            enc = self._encode_live(src[rows], times[rows], pad[rows], int(cut))
-            cand = cand_all[rows]                              # (g, c, d)
+        for group, f, keys in zip(packing.groups, enc, packing.per_group(pad)):
+            c = cand[group.rows]                               # (g, c, d)
             if self.config.use_taad:
-                pad_keys = pad[rows, cut:][:, None, None, :]  # (g, 1, 1, n - cut)
-                s = self.decoder(cand, enc, attend_mask=pad_keys)
+                s = self.decoder(c, f, attend_mask=keys[:, None, None, :])
             else:
-                s = enc[:, -1:, :]                             # (g, 1, d)
-            scores[rows] = preference_scores(s, cand).data
-        return scores
+                s = f[:, -1:, :]                               # (g, 1, d)
+            scores[group.rows] = preference_scores(s, c).data
+        return packing.unsort_rows(scores)
 
     def recommend(
         self,

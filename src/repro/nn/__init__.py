@@ -34,9 +34,11 @@ from .tensor import (
     Tensor,
     concatenate,
     grad_arena,
+    join,
     matmul,
     no_grad,
     ones,
+    split,
     stack,
     tensor,
     where,
@@ -56,6 +58,8 @@ __all__ = [
     "ones",
     "matmul",
     "concatenate",
+    "join",
+    "split",
     "stack",
     "where",
     "no_grad",

@@ -8,7 +8,7 @@ used in STiSAN's training objective.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -95,28 +95,29 @@ def dropout(
     rate: float,
     rng: np.random.Generator,
     training: bool = True,
-    cut: int = 0,
+    layout=None,
 ) -> Tensor:
     """Inverted dropout: scales kept activations by 1/(1-rate).
 
-    ``cut > 0`` says ``x`` (b, w, ...) holds columns ``cut:`` of a
-    (b, cut + w, ...) tensor.  The mask is drawn at that full shape and
-    sliced, so the generator advances exactly as the full-width draw
-    would and every kept column gets the same mask.
+    ``layout`` says ``x`` holds some entries of a larger tensor: that
+    tensor's shape is ``layout.full_shape(x.shape)`` and
+    ``layout.pack(full)`` takes ``x``'s entries out of it (a
+    :class:`repro.core.packing.Packing` is one).  The mask is drawn at
+    the full shape and packed, so the generator advances exactly as the
+    full draw would and every kept entry gets the same mask.
     """
     if not training or rate <= 0.0 or not is_grad_enabled():
         return x
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
     keep = 1.0 - rate
-    shape, columns = x.shape, ()
-    if cut:
-        shape = (shape[0], cut + shape[1], *shape[2:])
-        columns = (slice(None), slice(cut, None))
     # One expression, so the float64 draw and the boolean mask are freed
     # as soon as they are used: holding their megabytes through the
     # multiply cost thousands of page faults per training step.
-    mask = (rng.random(shape)[columns] < keep).astype(np.float32) / keep
+    if layout is None:
+        mask = (rng.random(x.shape) < keep).astype(np.float32) / keep
+    else:
+        mask = (layout.pack(rng.random(layout.full_shape(x.shape))) < keep).astype(np.float32) / keep
     return x * Tensor(mask)
 
 
@@ -181,6 +182,27 @@ def row_sums(idx: np.ndarray, grad: np.ndarray, num_rows: int) -> RowSparseGrad:
         shape=(n, rows.size),
     )
     return RowSparseGrad(rows, np.asarray(selector.T @ flat_g, dtype=np.float32), num_rows)
+
+
+def scatter_rows(x: Tensor, index: np.ndarray, shape: Sequence[int]) -> Tensor:
+    """Rows of ``x`` placed among zeros.
+
+    ``x``'s leading axes are ``index.shape``; the output has shape
+    ``(*shape, *tail)``, where ``tail`` is the rest of ``x``'s shape, and
+    is zero except that entry ``index[j]`` of the flattened ``shape``
+    holds ``x[j]``.  ``index`` must not repeat an entry; the backward is
+    the gather ``grad[index]``.
+    """
+    idx = np.asarray(index, dtype=np.int64)
+    tail = x.shape[idx.ndim:]
+    out_data = np.zeros((*shape, *tail), dtype=np.float32)
+    out_data.reshape(-1, *tail)[idx] = x.data
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad.reshape(-1, *tail)[idx])
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def embedding_lookup(weight: Tensor, indices: np.ndarray, padding_idx: Optional[int] = None) -> Tensor:

@@ -102,10 +102,10 @@ class Dropout(Module):
         self.rate = rate
         self.rng = rng
 
-    def forward(self, x: Tensor, cut: int = 0) -> Tensor:
-        """``cut``: ``x`` is columns ``cut:`` of a wider batch (see
+    def forward(self, x: Tensor, layout=None) -> Tensor:
+        """``layout``: ``x`` holds some entries of a larger tensor (see
         :func:`repro.nn.functional.dropout`)."""
-        return F.dropout(x, self.rate, rng=self.rng, training=self.training, cut=cut)
+        return F.dropout(x, self.rate, rng=self.rng, training=self.training, layout=layout)
 
 
 class ReLU(Module):
@@ -136,5 +136,5 @@ class PositionwiseFeedForward(Module):
         self.w2 = Linear(hidden_dim, dim, rng=rng)
         self.drop = Dropout(dropout, rng=rng)
 
-    def forward(self, x: Tensor, cut: int = 0) -> Tensor:
-        return self.w2(self.drop(self.w1(x).relu(), cut=cut))
+    def forward(self, x: Tensor, layout=None) -> Tensor:
+        return self.w2(self.drop(self.w1(x).relu(), layout))

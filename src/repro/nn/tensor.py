@@ -24,6 +24,8 @@ Design notes
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import prod
 from time import perf_counter as _perf_counter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -238,7 +240,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)  # repro-lint: disable=REPRO-F64 -- dtype is normalized on the next lines
-        if np.issubdtype(arr.dtype, np.floating) and arr.dtype != np.float32:
+        if arr.dtype.kind == "f" and arr.dtype != np.float32:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad) and _grad_enabled
@@ -762,6 +764,53 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(grad[tuple(slicer)])
 
     return Tensor._make(out_data, tuple(tensors), backward)
+
+
+def split(x: Tensor, shapes: Sequence[Sequence[int]]) -> list:
+    """Consecutive pieces of ``x`` along axis 0, piece ``i`` viewed as
+    ``shapes[i]``; each piece covers whole rows of ``x``.  :func:`join`
+    is the inverse.
+
+    The pieces write their gradients into one buffer, which reaches
+    ``x`` as a single gradient, so k pieces cost one ``x``-sized array
+    and not k.
+    """
+    row = x.shape[1:]
+    offsets = list(accumulate((prod(shape) // max(1, prod(row)) for shape in shapes), initial=0))
+    if offsets[-1] != x.shape[0]:
+        raise ValueError(f"pieces cover {offsets[-1]} rows, not the {x.shape[0]} rows of x")
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad)
+
+    # The buffer's node: an identity op whose gradient the pieces fill.
+    joint = Tensor._make(x.data, (x,), backward)
+
+    def _piece(start: int, stop: int, shape: Sequence[int]) -> Tensor:
+        def backward(grad: np.ndarray) -> None:
+            if joint.grad is None:
+                joint.grad = np.zeros(x.shape, dtype=np.float32)
+            joint.grad[start:stop] += grad.reshape(stop - start, *row)
+
+        return Tensor._make(x.data[start:stop].reshape(shape), (joint,), backward)
+
+    return [_piece(a, b, tuple(shape)) for a, b, shape in zip(offsets, offsets[1:], shapes)]
+
+
+def join(pieces: Sequence[Tensor], row: Sequence[int]) -> Tensor:
+    """Every piece flattened to rows of shape ``row`` and stacked along
+    axis 0: the inverse of :func:`split`."""
+    flat = [p.data.reshape(-1, *row) for p in pieces]
+    out_data = np.concatenate(flat, axis=0)
+    offsets = list(accumulate((len(f) for f in flat), initial=0))
+
+    def backward(grad: np.ndarray) -> None:
+        for p, start, stop in zip(pieces, offsets, offsets[1:]):
+            if p.requires_grad:
+                p._accumulate(grad[start:stop].reshape(p.shape))
+
+    return Tensor._make(out_data, tuple(pieces), backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

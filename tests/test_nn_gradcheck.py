@@ -242,6 +242,37 @@ class TestReductionsAndShape:
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, np.ones((2, 2)))
 
+    def test_split(self):
+        weights = RNG.normal(size=(6, 3)).astype(np.float32)
+
+        def fn(x):
+            pieces = nn.split(x, [(1, 3), (3, 1, 3), (2, 3)])
+            return (pieces[0] * pieces[0]).sum() + (pieces[2] * weights[4:]).sum()
+
+        check(fn, (6, 3))
+
+    def test_split_views_and_unused_pieces(self):
+        x = Tensor(RNG.normal(size=(5, 2)).astype(np.float32), requires_grad=True)
+        first, second = nn.split(x, [(1, 2, 2), (3, 2)])
+        assert first.shape == (1, 2, 2) and np.shares_memory(first.data, x.data)
+        np.testing.assert_array_equal(nn.join([first, second], (2,)).data, x.data)
+        second.sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0, 0], [0, 0], [1, 1], [1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="rows"):
+            nn.split(x, [(2, 2), (2, 2)])
+
+    def test_join(self):
+        weights = RNG.normal(size=(5, 2)).astype(np.float32)
+        other = Tensor(RNG.normal(size=(1, 3, 2)).astype(np.float32))
+        check(lambda x: (nn.join([x, other], (2,)) * weights).sum(), (2, 2))
+
+    def test_scatter_rows(self):
+        index = np.array([[4, 0], [2, 5]])
+        weights = RNG.normal(size=(2, 3, 2)).astype(np.float32)
+        check(lambda x: (F.scatter_rows(x, index, (2, 3)) * weights).sum(), (2, 2, 2))
+        out = F.scatter_rows(Tensor(np.ones((2, 2, 1), dtype=np.float32)), index, (2, 3))
+        np.testing.assert_array_equal(out.data[..., 0], [[1, 0, 1], [0, 1, 1]])
+
     def test_stack(self):
         a = Tensor(RNG.normal(size=(3,)).astype(np.float32), requires_grad=True)
         b = Tensor(RNG.normal(size=(3,)).astype(np.float32), requires_grad=True)

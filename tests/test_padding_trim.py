@@ -1,16 +1,17 @@
-"""Running only the live columns, against the untrimmed forward.
+"""Running every row from its own live cut, against the untrimmed forward.
 
-``score_candidates`` groups its rows by ``live_cut`` and runs each group
-on its columns from the cut on; ``encode`` and ``forward_train`` trim
-the whole batch by its smallest cut and pad the output back.  The
-oracle is the same model with ``live_cut`` patched to return 0, which
-runs every row at full width.  Scores must agree within 1e-6 (OpenBLAS
-may pick a different sgemm kernel for a narrow ``QK^T``) and every
-ranking must be identical.  A training step must also leave the dropout
-generators where the untrimmed step leaves them; its gradients agree
-within 1e-5 of each parameter's largest gradient, because the
-weight-gradient sums run over fewer rows.  ``return_weights`` and
-cached serving never trim, so they must stay bitwise.
+``score_candidates``, ``encode`` and ``forward_train`` pack every row's
+columns from its own ``live_cut`` into one stack, run the row-local
+work once on it and attention and TAAD once per cut group, and unpack
+the outputs.  The oracle is the same model with ``live_cut`` patched to
+return 0, which runs every row at full width.  Scores must agree within
+1e-6 (OpenBLAS may pick a different sgemm kernel for a narrow
+``QK^T``) and every ranking must be identical.  A training step must
+also leave the dropout generators where the untrimmed step leaves them;
+its gradients agree within 1e-5 of each parameter's largest gradient,
+because the weight-gradient sums run over fewer rows.  A batch whose
+rows share cut 0, ``return_weights`` and cached serving run the batch
+whole, so they must stay bitwise.
 """
 
 from contextlib import ExitStack, contextmanager
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import repro.core.stisan as stisan_module
 from repro.core import STiSAN, STiSANConfig
 from repro.core.cache import ServingCaches
+from repro.core.packing import Packing
 from repro.core.loss import weighted_bce_loss
 from repro.core.relation import causal_attend_mask
 from repro.core.stisan import live_cut
@@ -227,7 +229,7 @@ def test_return_weights_is_untrimmed_and_bitwise():
 
 
 # ----------------------------------------------------------------------
-# Training runs from the batch's smallest cut
+# Training runs every row from its own cut
 # ----------------------------------------------------------------------
 def training_model(n, ablation="original"):
     cfg = STiSANConfig.small(max_len=n, poi_dim=8, geo_dim=8, num_blocks=2, ffn_hidden=16,
@@ -266,30 +268,30 @@ def train_step(model, src, times, targets, negatives):
     return pos.data, neg.data, float(loss.data), grads, states
 
 
-@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
-def test_training_step_matches_oracle_and_keeps_the_dropout_stream(ablation):
-    """Live-column scores and the loss match the untrimmed step, the
-    dropout generators end where the untrimmed step leaves them, and
-    the gradients agree up to the rounding of shorter weight-gradient
-    sums."""
-    n = 37
-    model = training_model(n, ablation)
-    batch = training_batch(n)
+def oracle_step(model, batch):
+    """The packed step and the untrimmed one from the same generator
+    states -> (packed, oracle), each as :func:`train_step` returns it."""
     start = [g.bit_generator.state for g in dropout_generators(model)]
-    pos, neg, loss, grads, states = train_step(model, *batch)
+    packed = train_step(model, *batch)
     for generator, state in zip(dropout_generators(model), start):
         generator.bit_generator.state = state
     with untrimmed():
-        oracle_pos, oracle_neg, oracle_loss, oracle_grads, oracle_states = train_step(
-            model, *batch
-        )
+        oracle = train_step(model, *batch)
+    return packed, oracle
 
+
+def assert_step_matches_oracle(model, batch):
+    (pos, neg, loss, grads, states), oracle = oracle_step(model, batch)
+    oracle_pos, oracle_neg, oracle_loss, oracle_grads, oracle_states = oracle
     assert states == oracle_states
     src, _, targets, negatives = batch
     assert pos.shape == src.shape and neg.shape == negatives.shape
     live = targets != 0
-    np.testing.assert_array_equal(pos[:, :8], 0.0)
-    np.testing.assert_array_equal(neg[:, :8], 0.0)
+    # Every dropped column is head padding and scores exactly 0.
+    dropped = np.arange(src.shape[1]) < live_cut(src == 0)[:, None]
+    assert not np.any(live & dropped)
+    np.testing.assert_array_equal(pos[dropped], 0.0)
+    np.testing.assert_array_equal(neg[dropped], 0.0)
     np.testing.assert_allclose(pos[live], oracle_pos[live], rtol=0, atol=TOL)
     np.testing.assert_allclose(neg[live], oracle_neg[live], rtol=0, atol=TOL)
     assert abs(loss - oracle_loss) <= TOL
@@ -300,20 +302,107 @@ def test_training_step_matches_oracle_and_keeps_the_dropout_stream(ablation):
         np.testing.assert_allclose(grad, oracle, rtol=0, atol=1e-5 * np.abs(oracle).max())
 
 
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_training_step_matches_oracle_and_keeps_the_dropout_stream(ablation):
+    """Live-column scores and the loss match the untrimmed step, the
+    dropout generators end where the untrimmed step leaves them, and
+    the gradients agree up to the rounding of shorter weight-gradient
+    sums."""
+    n = 37
+    assert_step_matches_oracle(training_model(n, ablation), training_batch(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([8, 10, 24, 37]),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=5),
+    ablation=st.sampled_from(sorted(ABLATIONS)),
+    seed=st.integers(0, 2**16),
+)
+def test_random_head_padding_training_step_matches_oracle(n, fractions, ablation, seed):
+    """Any mix of cuts, all-padding rows included, with a row whose only
+    live column is the last one."""
+    live = [round(f * n) for f in fractions] + [1]
+    batch = training_batch(n, live=live, seed=seed)
+    assert_step_matches_oracle(training_model(n, ablation), batch)
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_single_cut_training_step_is_bitwise(ablation):
+    """Rows that all keep every column run the batch whole: scores,
+    loss, gradients and the dropout stream are the untrimmed step's."""
+    n = 37
+    batch = training_batch(n, live=(37, 31, 33, 30))  # every first live column < 8
+    assert np.all(live_cut(batch[0] == 0) == 0)
+    packed, oracle = oracle_step(training_model(n, ablation), batch)
+    for got, want in zip(packed[:3], oracle[:3]):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(packed[3], oracle[3]):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+    assert packed[4] == oracle[4]
+
+
+def test_single_cut_layout_is_a_view_of_the_batch():
+    """One shared cut packs as the (b, n - cut) slice: nothing is
+    gathered and nothing is split."""
+    x = np.arange(3 * 37 * 2, dtype=np.float32).reshape(3, 37, 2)
+    packing = Packing([8, 8, 8], 37)
+    packed = packing.pack(x)
+    assert packed.shape == (3, 29, 2) and np.shares_memory(packed, x)
+    t = Tensor(packed)
+    assert packing.split(t) == [t] and packing.join([t]) is t
+    np.testing.assert_array_equal(packing.unpack(t).data[:, 8:], x[:, 8:])
+    np.testing.assert_array_equal(packing.unpack(t).data[:, :8], 0.0)
+
+
+def test_packing_round_trips_a_mixed_batch():
+    """Group-major tokens, one view per cut group, and back."""
+    n = 24
+    cuts = np.array([16, 0, 8, 16, 0])
+    x = np.random.default_rng(0).normal(size=(5, n, 3)).astype(np.float32)
+    packing = Packing(cuts, n)
+    assert [(g.cut, g.count, g.width) for g in packing.groups] == [(0, 2, 24), (8, 1, 16), (16, 2, 8)]
+    packed = packing.pack(x)
+    assert packed.shape == (2 * 24 + 16 + 2 * 8, 3)
+    pieces = packing.split(Tensor(packed))
+    np.testing.assert_array_equal(pieces[0].data, x[[1, 4]])
+    np.testing.assert_array_equal(pieces[1].data, x[[2], 8:])
+    np.testing.assert_array_equal(pieces[2].data, x[[0, 3], 16:])
+    back = packing.unpack(packing.join(pieces)).data
+    kept = np.arange(n) >= cuts[:, None]
+    np.testing.assert_array_equal(back[kept], x[kept])
+    np.testing.assert_array_equal(back[~kept], 0.0)
+    np.testing.assert_array_equal(packing.unsort_rows(packing.sort_rows(cuts)), cuts)
+
+
 def test_training_step_runs_the_blocks_on_the_live_width():
+    """Each block runs once on the packed tokens; the attention inside
+    it (and TAAD) runs once per cut group at that group's width."""
     n = 37
     model = training_model(n)
+    # First live columns 34, 25, 17, 12 and 23: cuts 32, 24, 16, 8 and 16.
+    batch = training_batch(n, live=(3, 12, 20, 25, 14))
+    packing = Packing(live_cut(batch[0] == 0), n)
+    tokens = sum(g.count * g.width for g in packing.groups)
+    expected = [(1, 29), (2, 21), (1, 13), (1, 5)]  # (rows, width) in cut order
     with ExitStack() as stack:
         spies = [
             stack.enter_context(mock.patch.object(block, "forward", wraps=block.forward))
             for block in model.blocks
         ]
-        model.forward_train(*training_batch(n))  # smallest cut 8
+        attention = stack.enter_context(
+            mock.patch.object(fused, "fused_causal_attention", wraps=fused.fused_causal_attention)
+        )
+        model.forward_train(*batch)
     for spy in spies:
         spy.assert_called_once()
-        x = spy.call_args.args[0]
-        assert x.shape[1] == n - 8
-        assert spy.call_args.kwargs["cut"] == 8
+        assert spy.call_args.args[0].shape == (tokens, model.config.dim)
+    # Every block, then TAAD, runs the groups in cut order.
+    widths = [call.args[1].shape[:2] for call in attention.call_args_list]
+    assert widths == expected * (model.config.num_blocks + 1)
 
 
 @pytest.mark.parametrize("shape", [(3, 37, 5), (2, 20, 4, 3)])
@@ -322,9 +411,21 @@ def test_dropout_draws_at_full_width_and_slices(shape, cut):
     x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
     full_rng, cut_rng = np.random.default_rng(9), np.random.default_rng(9)
     full = F.dropout(Tensor(x), 0.4, rng=full_rng)
-    trimmed = F.dropout(Tensor(x[:, cut:]), 0.4, rng=cut_rng, cut=cut)
+    packing = Packing(np.full(shape[0], cut), shape[1])
+    trimmed = F.dropout(Tensor(packing.pack(x)), 0.4, rng=cut_rng, layout=packing)
     np.testing.assert_array_equal(trimmed.data, full.data[:, cut:])
     assert cut_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(4, 24, 5), (3, 20, 4, 3)])
+def test_dropout_packs_a_full_width_mask_for_mixed_cuts(shape):
+    x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+    full_rng, packed_rng = np.random.default_rng(9), np.random.default_rng(9)
+    full = F.dropout(Tensor(x), 0.4, rng=full_rng)
+    packing = Packing([16, 0, 8, 16][:shape[0]], shape[1])
+    packed = F.dropout(Tensor(packing.pack(x)), 0.4, rng=packed_rng, layout=packing)
+    np.testing.assert_array_equal(packed.data, packing.pack(full.data))
+    assert packed_rng.bit_generator.state == full_rng.bit_generator.state
 
 
 # ----------------------------------------------------------------------

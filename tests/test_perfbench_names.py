@@ -101,8 +101,10 @@ def test_relation_layer_records_every_entry_path(perfbench, service, micro_datas
 
 
 def test_grouped_scoring_times_every_entry_point(perfbench, micro_dataset):
-    """Inference groups rows by their live columns; each group must still
-    go through the wrapped entry points, so the traced layers keep
+    """Inference packs every row's live columns into one stack: the
+    blocks and the geography encoder (tokens and candidates together)
+    run once on it, and the relation build and TAAD once per cut group,
+    all through the wrapped entry points, so the traced layers keep
     reading what the forward did."""
     workloads, harness = perfbench
     cfg = STiSANConfig.small(max_len=24, poi_dim=8, geo_dim=8, num_blocks=2, dropout=0.0)
@@ -124,8 +126,8 @@ def test_grouped_scoring_times_every_entry_point(perfbench, micro_dataset):
     finally:
         patcher.restore()
     assert timer.calls["core.stisan.score"] == 1
-    assert timer.calls["core.iaab.forward"] == groups * cfg.num_blocks
+    assert timer.calls["core.iaab.forward"] == cfg.num_blocks
     assert timer.calls["core.taad.forward"] == groups
     assert timer.calls["core.relation.build"] == groups
-    # The source embedding of every group and one candidate embedding.
-    assert timer.calls["core.geo_encoder.forward"] == groups + 1
+    # The packed tokens and the candidates are embedded in one call.
+    assert timer.calls["core.geo_encoder.forward"] == 1

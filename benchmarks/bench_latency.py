@@ -190,8 +190,7 @@ def run_sustained_serving():
     for user in users[:4]:
         service.recommend(user)  # warm slate/relation caches
     tier_cfg = dict(
-        num_workers=2, max_batch=64, batch_window_s=0.001,
-        deadline_s=2.0, queue_depth=256,
+        num_workers=2, max_batch=64, deadline_s=2.0, queue_depth=256,
     )
     load = LoadGenConfig(clients=64, requests_per_client=10,
                          zipf_exponent=1.3, seed=0)

@@ -251,7 +251,6 @@ def cmd_serve_load(args) -> int:
     users = ds.users()[: args.num_users]
     tier_cfg = TierConfig(
         max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1e3,
         queue_depth=args.queue_depth,
         shed_watermark=args.shed_watermark,
         deadline_s=args.deadline_ms / 1e3,
@@ -486,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Zipf exponent of the request mix")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--batch-window-ms", type=float, default=1.0)
     p.add_argument("--queue-depth", type=int, default=256)
     p.add_argument("--shed-watermark", type=int, default=None,
                    help="soft queue depth above which requests are shed")

@@ -9,10 +9,10 @@ package is the layer real traffic needs on top:
   (:mod:`repro.serving.admission`) that sheds load explicitly —
   reject-fast, or serve the PR 4 distance/popularity degraded slate,
   tagged — instead of melting;
-- a **dynamic batcher**: concurrent requests coalesce into batches
-  dispatched on max-batch-size-or-deadline, whichever comes first,
-  with duplicate (user, k) requests in a batch served by one model row
-  (Zipf-shaped traffic dedupes heavily);
+- a **dynamic batcher**: concurrent requests coalesce into batches,
+  a full one dispatched at once and a partial one as soon as no other
+  batch is in flight, with duplicate (user, k) requests in a batch
+  served by one model row (Zipf-shaped traffic dedupes heavily);
 - a **worker pool** (:mod:`repro.serving.worker`) sharing read-only
   model memory, supervised by a heartbeat **watchdog**
   (:mod:`repro.serving.supervisor`) that detects hung or crashed

@@ -1,13 +1,13 @@
 """Injectable time sources for the serving tier.
 
-All serving-tier timing — deadlines, batch windows, heartbeats,
+All serving-tier timing — deadlines, dispatch stamps, heartbeats,
 backoff sleeps — goes through one :class:`Clock` object handed to the
 tier at construction.  Production uses :class:`MonotonicClock`, which
 reads the sanctioned :func:`repro.obs.perf_counter` (a monotonic
 clock), so no raw wall-clock call ever appears in serving code and the
 ``REPRO-DET-CLOCK`` lint stays quiet by construction.  Tests use
 :class:`ManualClock` to drive the pure policy code (admission
-decisions, batch-formation deadlines) through virtual time,
+decisions, batch formation) through virtual time,
 deterministically.
 
 ``sleep`` lives here too because injected fault *delays* and *hangs*
@@ -51,10 +51,10 @@ class ManualClock(Clock):
     """A virtual clock advanced explicitly by the test driving it.
 
     ``sleep`` advances virtual time instead of blocking, so
-    single-threaded policy tests (batch-window math, backoff
+    single-threaded policy tests (deadline math, backoff
     schedules) replay instantly and deterministically.  It is
     *not* meant to coordinate real threads — the threaded integration
-    tests use :class:`MonotonicClock` with short real windows.
+    tests use :class:`MonotonicClock` with short real timeouts.
     """
 
     def __init__(self, start: float = 0.0):

@@ -9,36 +9,41 @@ shed retroactively), and the watchdog (``drain_expired`` — sweeps out
 requests whose deadline passed while queued so their callers are
 answered by the deadline rather than at some eventual dispatch).
 
-Workers pull with :meth:`next_batch` — the continuous-batching core:
-block until the queue is non-empty, then dispatch as soon as either
-``max_batch`` requests are available or the *oldest* queued request
-has waited ``window_s`` since it was enqueued, whichever comes first.
-The window anchors on enqueue time, so a backlog that built up while
-every worker was busy dispatches immediately instead of paying the
-window again.
+Workers pull with :meth:`next_batch` — the continuous-batching core,
+and work-conserving: a full batch (``max_batch`` requests) dispatches
+at once, and a partial one dispatches as soon as no other batch is in
+flight.  While a batch is being scored the next one keeps filling, and
+it goes when that batch finishes (:meth:`batch_done`) or when it
+fills.  So an idle service never waits on a timer, and a busy one
+hands its next batch everything that arrived meanwhile.
 
-The deadline arithmetic is factored into the pure
-:func:`batch_dispatch_deadline` so virtual-clock tests can pin the
-policy without threads.
+Before it forms a partial batch, a worker gives up the GIL once with
+the condition released, so that submitters on other threads can
+enqueue what is already due.  Without that yield an in-process sender
+gets the GIL only between back-to-back small batches, and the tier
+can settle into scoring a handful of requests at a time.
+
+The dispatch rule is factored into the pure :func:`dispatch_ready` so
+virtual-clock tests can pin the policy without threads.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import List, Optional, Sequence
 
 from .clock import Clock
 from .request import TierRequest
 
-__all__ = ["BoundedRequestQueue", "batch_dispatch_deadline"]
+__all__ = ["BoundedRequestQueue", "dispatch_ready"]
 
 
-def batch_dispatch_deadline(
-    oldest_enqueued_at: float, window_s: float
-) -> float:
-    """When a partially-filled batch must dispatch anyway."""
-    return oldest_enqueued_at + window_s
+def dispatch_ready(queued: int, max_batch: int, in_flight: int) -> bool:
+    """Whether a worker may take a batch now: a full one always, a
+    partial one only while no other batch is in flight."""
+    return queued >= max_batch or (queued > 0 and in_flight == 0)
 
 
 class BoundedRequestQueue:
@@ -52,6 +57,9 @@ class BoundedRequestQueue:
         self._items: "deque[TierRequest]" = deque()
         self._cond = threading.Condition()
         self._closed = False
+        #: Batches taken by :meth:`next_batch` and not yet released
+        #: with :meth:`batch_done`.
+        self._in_flight = 0
         #: High-water mark of the depth (reported by tier stats).
         self.peak_depth = 0
 
@@ -117,36 +125,48 @@ class BoundedRequestQueue:
             return items
 
     # ------------------------------------------------------------------
-    def next_batch(self, max_batch: int, window_s: float) -> Optional[List[TierRequest]]:
-        """Block for the next dynamic batch.
+    def next_batch(self, max_batch: int) -> Optional[List[TierRequest]]:
+        """Block for the next dynamic batch (see module docstring).
 
-        Returns None when the queue is closed (the worker's signal to
-        exit) and may return an empty list on contended wakeups (two
-        workers racing for one arrival) — callers just loop.
+        Returns None when the queue is closed and empty (the worker's
+        signal to exit).  A closed queue hands out what it still holds
+        without waiting.  Every batch returned counts as in flight
+        until the caller releases it with :meth:`batch_done`.
         """
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        yielded = False
         with self._cond:
-            while not self._items:
+            while True:
+                queued = len(self._items)
                 if self._closed:
-                    return None
+                    if not queued:
+                        return None
+                    break  # hand out what is left without waiting
+                if dispatch_ready(queued, max_batch, self._in_flight):
+                    if queued >= max_batch or yielded:
+                        break
+                    # A partial batch: let submitters on other threads
+                    # enqueue first, once, then look again.
+                    yielded = True
+                    self._cond.release()
+                    try:
+                        time.sleep(0)
+                    finally:
+                        self._cond.acquire()
+                    continue
                 self._cond.wait()
-            # At least one request: fill until max_batch or until the
-            # oldest member's window elapses, whichever comes first.
-            while len(self._items) < max_batch and not self._closed:
-                deadline = batch_dispatch_deadline(
-                    self._items[0].enqueued_at, window_s
-                )
-                remaining = deadline - self._clock.now()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-                if not self._items:
-                    # A rival worker (or the watchdog's expiry sweep)
-                    # emptied the queue while we waited.
-                    return []
             take = min(max_batch, len(self._items))
+            self._in_flight += 1
             return [self._items.popleft() for _ in range(take)]
+
+    def batch_done(self) -> None:
+        """Release one in-flight batch, so a partial batch may go."""
+        with self._cond:
+            if self._in_flight < 1:
+                raise RuntimeError("batch_done() with no batch in flight")
+            self._in_flight -= 1
+            self._cond.notify()
 
     def close(self) -> None:
         """Refuse all further traffic and wake every waiting worker."""

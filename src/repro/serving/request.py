@@ -62,7 +62,9 @@ class TierResponse:
     reason: str = ""
     #: Seconds from submit to resolution (the caller-visible latency).
     latency_s: float = 0.0
-    #: Seconds spent queued before the (final) dispatch.
+    #: Seconds spent queued before the (final) dispatch: from the last
+    #: (re)enqueue to the moment a worker took the batch, so scoring
+    #: and injected dispatch delays are not in it.
     queue_wait_s: float = 0.0
     #: Size of the coalesced batch this request was served in (0 for
     #: requests that never reached a worker).
@@ -82,7 +84,7 @@ class TierRequest:
 
     __slots__ = (
         "id", "user", "k", "exclude_visited", "submitted_at", "deadline_at",
-        "enqueued_at", "attempts", "_event", "_response", "_lock",
+        "enqueued_at", "dispatched_at", "attempts", "_event", "_response", "_lock",
     )
 
     def __init__(
@@ -102,6 +104,8 @@ class TierRequest:
         self.deadline_at = deadline_at
         #: Set by the queue when the request is (re)enqueued.
         self.enqueued_at = submitted_at
+        #: Set by the worker when it takes the request's batch.
+        self.dispatched_at = submitted_at
         #: Dispatch attempts so far (bumped by the worker at batch
         #: formation; the requeue-exactly-once budget reads this).
         self.attempts = 0

@@ -9,9 +9,10 @@ the watchdog
 2. scans the pool for hung workers — busy with a heartbeat older than
    ``hang_timeout_s``.  A hung worker is *abandoned* (it may still wake
    up later; the flag plus the request-level exactly-once gate make its
-   late output harmless), its in-flight batch is recovered, and its
-   slot is respawned with ``generation + 1`` so restarts are visible
-   and deterministic in count.
+   late output harmless), its in-flight slot in the queue is released,
+   its in-flight batch is recovered, and its slot is respawned with
+   ``generation + 1`` so restarts are visible and deterministic in
+   count.
 
 Batch recovery is the **requeue-exactly-once** policy, shared with the
 crash path: an unresolved request whose deadline already passed is
@@ -91,6 +92,10 @@ class WorkerSupervisor:
             for worker in self.workers:
                 if worker.is_hung(now, tier.config.hang_timeout_s):
                     worker.abandoned = True
+                    # A hung batch no longer counts as in flight, so
+                    # its requeued requests dispatch as soon as the
+                    # successor (or a sibling) looks.
+                    worker.release_slot()
                     hung.append((worker, list(worker.current_batch or [])))
         for worker, batch in hung:
             tier._note_restart("hang", worker)

@@ -9,8 +9,9 @@ in play.  The moving parts:
 
 - admission control (:mod:`repro.serving.admission`) sheds explicitly
   at the front door before work queues up;
-- a bounded queue + dynamic batcher (:mod:`repro.serving.queue`)
-  dispatches on max-batch-size *or* batch-window expiry;
+- a bounded queue + work-conserving batcher
+  (:mod:`repro.serving.queue`) dispatches a full batch at once and a
+  partial one as soon as no other batch is in flight;
 - a worker pool (:mod:`repro.serving.worker`) supervised by a
   heartbeat watchdog (:mod:`repro.serving.supervisor`) that restarts
   hung/crashed workers and requeues their work exactly once;
@@ -22,15 +23,20 @@ Threading model (the part worth reading twice): the underlying
 service, its caches, breaker and the obs metric objects are
 single-threaded by design, so the tier serializes *every* service call
 behind ``_service_lock`` and all of its own accounting behind the
-re-entrant ``_lock``.  The queue has its own condition.  Lock order is
-``_lock`` -> ``_service_lock`` or either alone — never the reverse:
-recovery resolves fallback payloads (service lock) while already
-holding the tier lock, so the service lock is always the *inner* one,
-and no path takes ``_lock`` while holding ``_service_lock``.  That
-single direction makes deadlock impossible.  On a one-core box this
-serialization costs nothing: throughput comes from *batching* (one
-model call amortized over up to ``max_batch`` requests), not thread
-parallelism.
+re-entrant ``_lock``.  The queue has its own condition, which is
+always innermost: it is taken under ``_lock`` (a worker or the
+watchdog releasing an in-flight slot) but never held while taking
+another lock.  Lock order is ``_lock`` -> ``_service_lock`` or either
+alone — never the reverse: recovery resolves fallback payloads
+(service lock) while already holding the tier lock, so the service
+lock is always the *inner* one, and no path takes ``_lock`` while
+holding ``_service_lock``.  That single direction makes deadlock
+impossible.  One core: this serialization costs nothing, because
+throughput comes from *batching* (one model call amortized over up to
+``max_batch`` requests), not thread parallelism — and the batcher is
+work-conserving, so whatever arrives while one batch is scored becomes
+the next batch, and a request that finds the service idle is scored
+at once instead of waiting out a timer.
 
 Every decision point — admit/shed, dispatch, timeout, retry, requeue,
 restart, drain — increments a ``repro_tier_*`` counter and the heavier
@@ -71,12 +77,11 @@ _SHED_MODES = ("reject", "degrade")
 @dataclass
 class TierConfig:
     """Knobs for one :class:`ServingTier` (defaults favor a laptop
-    demo: small batches, tight windows, sub-second deadlines)."""
+    demo: small batches, sub-second deadlines)."""
 
-    #: Dispatch as soon as this many requests are batched...
+    #: The largest batch; a full one dispatches even while another
+    #: batch is in flight, a partial one only when none is.
     max_batch: int = 32
-    #: ...or once the oldest queued request waited this long (seconds).
-    batch_window_s: float = 0.004
     #: Bounded queue capacity — the hard admission limit.
     queue_depth: int = 256
     #: Soft depth limit; shed with reason ``backpressure`` above it
@@ -121,7 +126,7 @@ class TierConfig:
                 f"shed_mode must be one of {_SHED_MODES}, got {self.shed_mode!r}"
             )
         for name in (
-            "batch_window_s", "deadline_s", "hang_timeout_s",
+            "deadline_s", "hang_timeout_s",
             "watchdog_interval_s", "retry_backoff_s", "drain_timeout_s",
         ):
             if getattr(self, name) <= 0:
@@ -316,7 +321,6 @@ class ServingTier:
                 if _obs._enabled:
                     REGISTRY.counter("repro_tier_coalesced_total").inc(coalesced)
         rows = self._call_service(users, kmax, exclude_visited, worker)
-        now = self._clock.now()
         for request in group:
             recs = rows[row_of[request.user]][: request.k]
             status = DEGRADED if recs and all(r.degraded for r in recs) else SERVED
@@ -326,7 +330,7 @@ class ServingTier:
                     status=status,
                     recommendations=list(recs),
                     reason="service_degraded" if status == DEGRADED else "",
-                    queue_wait_s=max(0.0, now - request.enqueued_at),
+                    queue_wait_s=max(0.0, request.dispatched_at - request.enqueued_at),
                     batch_size=batch_size,
                     attempts=request.attempts,
                     worker=worker.name,

@@ -11,9 +11,11 @@ injected delays/hangs overlap with healthy workers' scoring).
 The run loop per worker:
 
 1. pull a dynamic batch from the bounded queue (blocks; ``None`` means
-   the queue closed — exit);
-2. under the tier lock, stamp the batch (attempt counts, heartbeat,
-   ``current_batch`` for the watchdog);
+   the queue closed — exit).  The batch holds one of the queue's
+   in-flight slots until the worker releases it, which is what lets
+   the next partial batch wait for this one instead of for a timer;
+2. under the tier lock, stamp the batch (attempt counts, dispatch
+   time, heartbeat, ``current_batch`` for the watchdog);
 3. consult the fault plan: a ``delay`` stalls dispatch, a ``crash``
    raises :class:`~repro.faults.InjectedFault` (the thread dies and the
    supervisor restarts the slot), a ``hang`` sleeps through the
@@ -58,6 +60,9 @@ class InferenceWorker:
         #: (or crashed): its results are stale, a successor owns the
         #: slot, and it must exit without resolving anything.
         self.abandoned = False
+        #: True from taking a batch until :meth:`release_slot`: the
+        #: queue counts the batch as in flight until then.
+        self.holds_slot = False
         self.batches_done = 0
         self._thread = threading.Thread(
             target=self._run, name=f"repro-serving-{self.name}", daemon=True
@@ -88,15 +93,15 @@ class InferenceWorker:
         clock = tier._clock
         cfg = tier.config
         while True:
-            batch = tier.queue.next_batch(cfg.max_batch, cfg.batch_window_s)
+            batch = tier.queue.next_batch(cfg.max_batch)
             if batch is None:
                 break  # queue closed: clean exit
-            if not batch:
-                continue  # contended wakeup
             with tier._lock:
+                self.holds_slot = True
                 if self.abandoned:
                     # Superseded between batches: hand the work back
                     # untouched and exit.
+                    self.release_slot()
                     tier.supervisor.recover(batch)
                     return
                 now = clock.now()
@@ -105,6 +110,7 @@ class InferenceWorker:
                 self.current_batch = batch
                 for request in batch:
                     request.attempts += 1
+                    request.dispatched_at = now
             try:
                 self._process(batch)
             except Exception as exc:
@@ -116,6 +122,7 @@ class InferenceWorker:
                     self.busy_since = None
                     self.heartbeat = clock.now()
                     self.batches_done += 1
+                    self.release_slot()
             with tier._lock:
                 if self.abandoned:
                     # Declared hung mid-batch but finished anyway (a
@@ -125,6 +132,20 @@ class InferenceWorker:
                     # the requests.  Exit quietly.
                     return
         tier._on_worker_exit(self)
+
+    def release_slot(self) -> None:
+        """Give back this worker's in-flight batch slot, at most once
+        per batch (call under the tier lock).
+
+        The worker releases it when its batch ends, however it ends;
+        the watchdog releases it when it abandons the worker, so the
+        requeued batch can dispatch at once instead of waiting on a
+        hung worker that may never wake.  Whichever comes second finds
+        nothing to give back.
+        """
+        if self.holds_slot:
+            self.holds_slot = False
+            self.tier.queue.batch_done()
 
     def _process(self, batch: List[TierRequest]) -> None:
         """Fault sites, then scoring.  May raise (worker crash)."""

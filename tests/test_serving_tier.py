@@ -43,6 +43,7 @@ from repro.serving import (
     run_load,
     zipf_schedule,
 )
+from repro.serving.queue import dispatch_ready
 
 MAX_LEN = 10
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -149,24 +150,67 @@ class TestQueuePolicy:
         queue.offer(make_request(clock, rid=2))
         old = [make_request(clock, rid=3), make_request(clock, rid=4)]
         assert queue.requeue(old)  # admitted work is never shed retroactively
-        batch = queue.next_batch(max_batch=4, window_s=10.0)
+        batch = queue.next_batch(max_batch=4)
         assert [r.id for r in batch] == [3, 4, 1, 2]
 
     def test_full_batch_dispatches_without_waiting(self):
         clock = ManualClock()
         queue = BoundedRequestQueue(8, clock)
-        for rid in range(4):
+        for rid in range(5):
             queue.offer(make_request(clock, rid=rid))
-        batch = queue.next_batch(max_batch=4, window_s=100.0)
-        assert [r.id for r in batch] == [0, 1, 2, 3]
+        assert [r.id for r in queue.next_batch(max_batch=4)] == [0, 1, 2, 3]
+        assert queue._in_flight == 1
+        for rid in range(5, 8):
+            queue.offer(make_request(clock, rid=rid))
+        # Full again: it goes without waiting for the first batch.
+        assert [r.id for r in queue.next_batch(max_batch=4)] == [4, 5, 6, 7]
+        assert queue._in_flight == 2
 
-    def test_expired_window_dispatches_partial_batch(self):
+    def test_dispatch_rule(self):
+        # A full batch always goes; a partial one only while nothing
+        # is in flight; an empty queue never dispatches.
+        assert dispatch_ready(queued=4, max_batch=4, in_flight=3)
+        assert dispatch_ready(queued=1, max_batch=4, in_flight=0)
+        assert not dispatch_ready(queued=1, max_batch=4, in_flight=1)
+        assert not dispatch_ready(queued=0, max_batch=4, in_flight=0)
+
+    def test_partial_batch_dispatches_when_nothing_in_flight(self):
         clock = ManualClock()
         queue = BoundedRequestQueue(8, clock)
         queue.offer(make_request(clock, rid=1))
-        clock.advance(0.01)  # past the window: no blocking wait happens
-        batch = queue.next_batch(max_batch=4, window_s=0.005)
-        assert [r.id for r in batch] == [1]
+        # No timer: virtual time never moves, and the lone request
+        # dispatches at once because the service is idle.
+        assert [r.id for r in queue.next_batch(max_batch=4)] == [1]
+        assert clock.now() == 0.0
+        assert queue._in_flight == 1
+        queue.batch_done()
+        assert queue._in_flight == 0
+
+    def test_partial_batch_waits_while_a_batch_is_in_flight(self):
+        clock = ManualClock()
+        queue = BoundedRequestQueue(8, clock)
+        queue.offer(make_request(clock, rid=1))
+        assert [r.id for r in queue.next_batch(max_batch=4)] == [1]
+        queue.offer(make_request(clock, rid=2))
+        queue.offer(make_request(clock, rid=3))
+        got = []
+        taker = threading.Thread(target=lambda: got.append(queue.next_batch(4)))
+        taker.start()
+        taker.join(0.2)
+        assert taker.is_alive() and got == []  # held behind batch 1
+        queue.offer(make_request(clock, rid=4))
+        taker.join(0.2)
+        assert taker.is_alive() and got == []  # still partial
+        queue.batch_done()  # batch 1 finished: the next one goes whole
+        taker.join(5.0)
+        assert not taker.is_alive()
+        assert [r.id for r in got[0]] == [2, 3, 4]
+        assert queue._in_flight == 1
+
+    def test_batch_done_without_a_batch_in_flight_raises(self):
+        queue = BoundedRequestQueue(4, ManualClock())
+        with pytest.raises(RuntimeError, match="no batch in flight"):
+            queue.batch_done()
 
     def test_drain_expired_and_close(self):
         clock = ManualClock()
@@ -181,14 +225,14 @@ class TestQueuePolicy:
         assert not queue.offer(make_request(clock, rid=3))
         assert not queue.requeue([make_request(clock, rid=4)])
         # A closed queue still hands out what was already admitted...
-        assert [r.id for r in queue.next_batch(4, 1.0)] == [2]
+        assert [r.id for r in queue.next_batch(4)] == [2]
         # ...and only then signals the workers to exit.
-        assert queue.next_batch(4, 1.0) is None
+        assert queue.next_batch(4) is None
 
     def test_closed_empty_queue_returns_none(self):
         queue = BoundedRequestQueue(4, ManualClock())
         queue.close()
-        assert queue.next_batch(4, 1.0) is None
+        assert queue.next_batch(4) is None
 
 
 class TestTimeBasedBreaker:
@@ -366,7 +410,6 @@ def quiet_config(**kwargs):
     """A tier config whose watchdog will not fire during the test."""
     kwargs.setdefault("num_workers", 1)
     kwargs.setdefault("max_batch", 8)
-    kwargs.setdefault("batch_window_s", 0.002)
     kwargs.setdefault("deadline_s", 5.0)
     kwargs.setdefault("hang_timeout_s", 30.0)
     kwargs.setdefault("drain_timeout_s", 20.0)
@@ -380,15 +423,16 @@ class TestTierServes:
         # Duplicate users and ragged k exercise in-batch coalescing
         # (4 distinct users per 8-slot batch -> guaranteed duplicates).
         workload = [(users[i % 4], 3 + (i % 3) * 4) for i in range(24)]
-        # The generous window lets the whole burst land in few batches
-        # regardless of scheduling, so coalescing is guaranteed work.
-        with ServingTier(
-            service, quiet_config(num_workers=2, batch_window_s=0.05)
-        ) as tier:
-            handles = [
-                tier.submit(user, k=k, exclude_visited=True)
-                for user, k in workload
-            ]
+        with ServingTier(service, quiet_config(num_workers=2)) as tier:
+            # Holding the queue's (re-entrant) condition keeps every
+            # worker out while the burst is enqueued, so it dispatches
+            # as three full batches of 8 whatever the scheduling, and
+            # each batch coalesces its 4 duplicate users.
+            with tier.queue._cond:
+                handles = [
+                    tier.submit(user, k=k, exclude_visited=True)
+                    for user, k in workload
+                ]
             responses = [h.wait(30.0) for h in handles]
         direct = {
             (user, k): service.recommend(user, k=k, exclude_visited=True)
@@ -400,7 +444,25 @@ class TestTierServes:
             assert response.worker.startswith("w")
             assert response.attempts == 1
         assert tier.verify_no_loss()
-        assert tier.stats.coalesced > 0
+        assert tier.stats.batches == 3
+        assert all(r.batch_size == 8 for r in responses)
+        assert tier.stats.coalesced == 12
+
+    def test_queue_wait_stops_at_dispatch(self, micro_dataset):
+        # queue_wait_s ends when a worker takes the batch: an injected
+        # dispatch stall (and scoring) is in the latency, not the wait.
+        service = make_service(micro_dataset)
+        users = warm_users(service, micro_dataset, count=1)
+        with fault_injection(
+            dispatch_delay_rate=1.0, dispatch_delay_s=0.1, seed=0
+        ):
+            with ServingTier(service, quiet_config()) as tier:
+                response = tier.request(users[0], k=3)
+        delay_s = tier.stats.injected_delay_s
+        assert response is not None and response.status == SERVED
+        assert response.latency_s >= delay_s > 0.0
+        assert response.queue_wait_s < 0.05
+        assert response.queue_wait_s <= response.latency_s - delay_s
 
     def test_unknown_user_raises_at_the_door(self, micro_dataset):
         service = make_service(micro_dataset)
@@ -466,6 +528,47 @@ class TestTierServes:
         assert "backpressure" in reasons
 
 
+class TestWorkConservingDispatch:
+    def test_bursts_from_another_thread_keep_batches_large(self, micro_dataset):
+        # A closed-window sender on its own thread (192 outstanding,
+        # refilled 64 at a time) must not push the tier into scoring a
+        # handful of requests per batch: the worker yields before it
+        # forms a partial batch, so the sender can enqueue what is due.
+        # Without the yield about one round in six settles at 4-15
+        # requests per batch, so twelve rounds catch it nearly always.
+        service = make_service(micro_dataset)
+        users = warm_users(service, micro_dataset, count=16)
+        window, refill, per_round = 192, 64, 64 * 20
+        responses = []
+
+        def sender():
+            pending = []
+            for i in range(per_round):
+                if len(pending) >= window:
+                    while len(pending) > window - refill:
+                        responses.append(pending.pop(0).wait(30.0))
+                pending.append(tier.submit(users[i % len(users)], k=5))
+            responses.extend(h.wait(30.0) for h in pending)
+
+        means = []
+        cfg = quiet_config(num_workers=2, max_batch=64, queue_depth=256)
+        with ServingTier(service, cfg) as tier:
+            for _ in range(12):
+                batches, requests = tier.stats.batches, tier.stats.batch_requests
+                thread = threading.Thread(target=sender)
+                thread.start()
+                thread.join(60.0)
+                assert not thread.is_alive()
+                means.append(
+                    (tier.stats.batch_requests - requests)
+                    / (tier.stats.batches - batches)
+                )
+        assert len(responses) == 12 * per_round
+        assert all(r is not None and r.status == SERVED for r in responses)
+        assert min(means) > 32, f"mean batch per round: {means}"
+        assert tier.verify_no_loss()
+
+
 class TestShutdownAdmission:
     def test_queue_closed_race_sheds_as_shutdown(self, micro_dataset):
         # close() racing a submit: admission can read _closing just
@@ -495,7 +598,6 @@ class TestLockWaitIsNotAHang:
         users = warm_users(service, micro_dataset, count=1)
         cfg = quiet_config(
             num_workers=1, hang_timeout_s=0.2, watchdog_interval_s=0.05,
-            batch_window_s=0.25,
         )
         tier = ServingTier(service, cfg)
         try:
@@ -523,7 +625,7 @@ class TestSupervision:
         service = make_service(micro_dataset)
         users = warm_users(service, micro_dataset, count=3)
         cfg = TierConfig(
-            num_workers=1, max_batch=8, batch_window_s=0.002,
+            num_workers=1, max_batch=8,
             deadline_s=30.0, hang_timeout_s=0.05, watchdog_interval_s=0.01,
             max_attempts=2,
         )
@@ -553,11 +655,51 @@ class TestSupervision:
         assert worker.generation >= 2
         assert tier.verify_no_loss()
 
+    def test_abandoned_hung_worker_frees_its_dispatch_slot(
+        self, micro_dataset, monkeypatch
+    ):
+        # The hung worker sleeps for seconds, far past hang_timeout_s.
+        # Abandoning it must free its in-flight slot: the successor
+        # dispatches the requeued request at once (and, every batch
+        # hanging, the second abandonment answers it requeue_limit)
+        # instead of holding it behind the sleeper until it wakes.
+        thread_errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: thread_errors.append(args)
+        )
+        service = make_service(micro_dataset)
+        users = warm_users(service, micro_dataset, count=1)
+        cfg = TierConfig(
+            num_workers=1, max_batch=8, deadline_s=30.0,
+            hang_timeout_s=0.05, watchdog_interval_s=0.01, max_attempts=2,
+        )
+        hang_s = 1.5
+        with fault_injection(worker_hang_rate=1.0, worker_hang_s=hang_s, seed=0):
+            tier = ServingTier(service, cfg)
+            first = tier.supervisor.workers[0]
+            try:
+                response = tier.request(users[0], k=3)
+                assert response is not None
+                assert response.latency_s < hang_s / 3
+                assert tier.supervisor.workers[0] is not first
+                # The late risers wake and exit without giving their
+                # slots back a second time.
+                first.join(10.0)
+                assert not first.alive and not first.holds_slot
+                assert tier.queue._in_flight == 0
+            finally:
+                tier.close(drain=False)
+        assert response.status == DEGRADED and response.reason == "requeue_limit"
+        assert response.attempts == cfg.max_attempts
+        assert tier.stats.restarts.get("hang", 0) == 2
+        assert thread_errors == []
+        assert tier.verify_no_loss()
+
     def test_crashed_worker_restarted_and_batch_recovered(self, micro_dataset):
         service = make_service(micro_dataset)
         users = warm_users(service, micro_dataset, count=3)
         cfg = TierConfig(
-            num_workers=1, max_batch=8, batch_window_s=0.002,
+            num_workers=1, max_batch=8,
             deadline_s=30.0, hang_timeout_s=30.0, watchdog_interval_s=0.01,
             max_attempts=2,
         )
@@ -579,7 +721,7 @@ class TestSupervision:
         service = make_service(micro_dataset)
         users = warm_users(service, micro_dataset, count=2)
         cfg = TierConfig(
-            num_workers=1, max_batch=4, batch_window_s=0.001,
+            num_workers=1, max_batch=4,
             deadline_s=0.02, hang_timeout_s=30.0, watchdog_interval_s=0.01,
         )
         # Every dispatch stalls well past the deadline.
@@ -637,7 +779,7 @@ class TestChaos:
         service = make_service(micro_dataset)
         users = warm_users(service, micro_dataset, count=8)
         cfg = TierConfig(
-            num_workers=2, max_batch=8, batch_window_s=0.002,
+            num_workers=2, max_batch=8,
             deadline_s=1.0, hang_timeout_s=0.1, watchdog_interval_s=0.02,
             queue_depth=64, shed_mode="degrade",
         )
